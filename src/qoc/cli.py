@@ -10,17 +10,23 @@ import argparse
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import io as qio
 from . import qkl, qlqr, troc
 from .deformed import deformed_entropy
-from .qlqr import policy_entropy
 
 EXIT_BAD_INSTANCE = 1
 EXIT_INFEASIBLE = 2
+
+# kind -> (solver, solution field also written as <field>.csv).  The lambdas
+# look the solver up at call time, so a rebound module attribute is honoured.
+SOLVERS = {
+    "qkl": (lambda instance: qkl.solve_qkl(instance), "controlled_matrices"),
+    "troc": (lambda instance: troc.solve_troc(instance), "policy"),
+    "qlqr": (lambda instance: qlqr.solve_qlqr(instance), "gains"),
+}
 
 
 def _out_dir(args):
@@ -39,7 +45,6 @@ def _bundle(args, instance_path, files, extra=None):
         "instance_sha256": qio.file_checksum(instance_path),
         "overrides": {k: v for k, v in _overrides(args).items() if v is not None},
         "seed": getattr(args, "seed", None),
-        "wall_time_s": time.time() - args._t0,
         "manifest": [
             {"path": os.path.abspath(f), "sha256": qio.file_checksum(f)} for f in files
         ],
@@ -62,56 +67,20 @@ def _write_stage_matrices(path, stack):
     qio.write_csv(path, header, rows)
 
 
-def _solve_payload(kind, instance):
-    if kind == "qkl":
-        sol = qkl.solve_qkl(instance)
-        return sol, {
-            "kind": kind,
-            "values": sol.values,
-            "controlled_matrices": sol.controlled_matrices,
-            "normalizers": sol.normalizers,
-        }
-    if kind == "troc":
-        sol = troc.solve_troc(instance)
-        return sol, {
-            "kind": kind,
-            "value": sol.value,
-            "q_values": sol.q_values,
-            "policy": sol.policy,
-            "normalizers": sol.normalizers,
-        }
-    sol = qlqr.solve_qlqr(instance)
-    return sol, {
-        "kind": kind,
-        "pi_matrices": sol.pi_matrices,
-        "gains": sol.gains,
-        "noise_covariances": sol.noise_covariances,
-        "etas": sol.etas,
-        "support_radii": sol.support_radii,
-    }
-
-
 def cmd_solve(args):
     kind, instance = qio.load_instance(args.instance, _overrides(args))
+    solve, csv_field = SOLVERS[kind]
     try:
-        sol, payload = _solve_payload(kind, instance)
+        sol = solve(instance)
     except (ValueError, RuntimeError) as exc:
         print(f"solver infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     out = _out_dir(args)
     solution_path = os.path.join(out, "solution.json")
-    qio.write_json(solution_path, payload)
-    files = [solution_path]
-    if kind == "qkl":
-        csv_path = os.path.join(out, "controlled_matrices.csv")
-        _write_stage_matrices(csv_path, sol.controlled_matrices)
-    elif kind == "troc":
-        csv_path = os.path.join(out, "policy.csv")
-        _write_stage_matrices(csv_path, sol.policy)
-    else:
-        csv_path = os.path.join(out, "gains.csv")
-        _write_stage_matrices(csv_path, sol.gains)
-    files.append(csv_path)
+    qio.write_json(solution_path, qio.solution_to_dict(kind, sol))
+    csv_path = os.path.join(out, f"{csv_field}.csv")
+    _write_stage_matrices(csv_path, getattr(sol, csv_field))
+    files = [solution_path, csv_path]
     bundle_path = os.path.join(out, "result_bundle.json")
     qio.write_json(bundle_path, _bundle(args, args.instance, files, {"kind": kind}))
     print(f"solved {kind} instance; outputs in {out}")
@@ -127,8 +96,8 @@ def _grid_values(spec):
 
 def _sweep_point(kind, instance):
     """Metric row (cost, entropy, support_radius, sparsity_count) for one solve."""
+    sol = SOLVERS[kind][0](instance)
     if kind == "qkl":
-        sol = qkl.solve_qkl(instance)
         p = sol.controlled_matrices[0]
         cost = qkl.evaluate_cost(instance, sol.controlled_matrices)
         ent = float(
@@ -140,15 +109,12 @@ def _sweep_point(kind, instance):
         sparsity = int(np.sum((p == 0) & (instance.passive_matrix > 0)))
         return cost, ent, 0.0, sparsity
     if kind == "troc":
-        sol = troc.solve_troc(instance)
         init = np.full(instance.num_states, 1.0 / instance.num_states)
         cost = float(init @ sol.value[0])
         ent = float(np.mean([deformed_entropy(r, instance.q) for r in sol.policy[0]]))
         return cost, ent, 0.0, int(np.sum(sol.policy == 0))
-    sol = qlqr.solve_qlqr(instance)
-    cost = qlqr.expected_quadratic_cost(instance, sol, instance.horizon)
-    ent = policy_entropy(sol.noise_covariances[0], instance.q)
-    return cost, ent, float(np.max(sol.support_radii[0])), 0
+    metrics = qlqr.sweep_metrics(instance, sol, instance.horizon)
+    return metrics["cost"], metrics["entropy"], metrics["support_radius"], 0
 
 
 def cmd_sweep(args):
@@ -184,9 +150,12 @@ def cmd_sweep(args):
 def _load_solution(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise qio.InstanceError(f"cannot read solution file {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise qio.InstanceError("solution file must contain a JSON object")
+    return doc
 
 
 def cmd_simulate(args):
@@ -195,20 +164,17 @@ def cmd_simulate(args):
     if doc.get("kind") != kind:
         print("instance/solution kind mismatch", file=sys.stderr)
         return EXIT_INFEASIBLE
+    if kind == "troc":
+        print("simulate supports qkl and qlqr solutions", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    sol = qio.solution_from_dict(doc, instance)
+    # the per-stage CSV field has one entry per stage of the solution's horizon
+    if len(getattr(sol, SOLVERS[kind][1])) < args.steps:
+        print("solution horizon shorter than requested steps", file=sys.stderr)
+        return EXIT_INFEASIBLE
     out = _out_dir(args)
     files = []
     if kind == "qlqr":
-        sol = qlqr.QlqrSolution(
-            np.asarray(doc["pi_matrices"]),
-            np.asarray(doc["gains"]),
-            np.asarray(doc["noise_covariances"]),
-            np.asarray(doc["etas"]),
-            np.asarray(doc["support_radii"]),
-            instance.q,
-        )
-        if sol.horizon < args.steps:
-            print("solution horizon shorter than requested steps", file=sys.stderr)
-            return EXIT_INFEASIBLE
         lower, upper = qlqr.support_envelope(instance, sol, args.steps)
         env_path = os.path.join(out, "envelope.csv")
         n = instance.state_dim
@@ -236,21 +202,14 @@ def cmd_simulate(args):
                     rows.append([k, t] + list(states[k, t]) + u)
             qio.write_csv(traj_path, header, rows)
             files.append(traj_path)
-    elif kind == "qkl":
-        matrices = np.asarray(doc["controlled_matrices"])
-        if matrices.shape[0] < args.steps:
-            print("solution horizon shorter than requested steps", file=sys.stderr)
-            return EXIT_INFEASIBLE
+    else:
         rows = []
         for t in range(args.trajectories):
-            path = qkl.rollout(instance, matrices, args.steps, (args.seed, t))
+            path = qkl.rollout(instance, sol.controlled_matrices, args.steps, (args.seed, t))
             rows.extend([k, t, int(s)] for k, s in enumerate(path))
         traj_path = os.path.join(out, "trajectories.csv")
         qio.write_csv(traj_path, ["stage", "trajectory", "state"], rows)
         files.append(traj_path)
-    else:
-        print("simulate supports qkl and qlqr solutions", file=sys.stderr)
-        return EXIT_INFEASIBLE
     bundle_path = os.path.join(out, "result_bundle.json")
     qio.write_json(bundle_path, _bundle(args, args.instance, files, {"kind": kind}))
     print(f"simulation outputs in {out}")
@@ -306,7 +265,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    args._t0 = time.time()
     try:
         return args.func(args)
     except qio.InstanceError as exc:

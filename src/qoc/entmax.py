@@ -83,7 +83,9 @@ def _normalization_root(costs, weights, lam, q, bracket=None):
         if hi - lo < 1e-15 * (1.0 + abs(mid)):
             break
     c = 0.5 * (lo + hi)
-    assert abs(g(c)) < 1e-9, "normalization root did not converge"
+    residual = g(c)
+    if not abs(residual) < 1e-9:
+        raise RuntimeError(f"normalization root did not converge: residual {residual:.3g}")
     return c
 
 

@@ -13,6 +13,11 @@ def _deformation_scale(n, q):
     return (n + 4.0) - (n + 2.0) * q
 
 
+def _support_threshold(n, q):
+    """Squared Mahalanobis radius ((n+4) - (n+2) q) / (1 - q) of the support."""
+    return _deformation_scale(n, q) / (1.0 - q)
+
+
 class QGaussian:
     """q-Gaussian N_q(mu, sigma) for deformation parameter q in [0, 1).
 
@@ -48,19 +53,17 @@ class QGaussian:
     @property
     def support_threshold(self):
         """Right-hand side of the support inequality in Mahalanobis units."""
-        n = self.dim
-        return _deformation_scale(n, self.q) / (1.0 - self.q)
+        return _support_threshold(self.dim, self.q)
 
     def normalizer(self):
-        """Normalization constant Z_q of the density."""
+        """Normalization constant Z_q, summed in log space so det(sigma) cannot underflow."""
         n = self.dim
-        q = self.q
-        a = (2.0 - q) / (1.0 - q)
-        det = float(np.linalg.det(self.sigma))
-        return (
-            np.sqrt(det)
-            * (np.pi * _deformation_scale(n, q) / (1.0 - q)) ** (n / 2.0)
-            * np.exp(gammaln(a) - gammaln(a + n / 2.0))
+        a = (2.0 - self.q) / (1.0 - self.q)
+        return np.exp(
+            0.5 * np.linalg.slogdet(self.sigma)[1]
+            + (n / 2.0) * np.log(np.pi * _support_threshold(n, self.q))
+            + gammaln(a)
+            - gammaln(a + n / 2.0)
         )
 
     def mahalanobis_sq(self, x):

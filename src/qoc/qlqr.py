@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed import DeformationParameter, _as_q
-from .entmax import deformation_eta
-from .qgaussian import QGaussian, _deformation_scale
+from .entmax import entmax_quadratic
+from .qgaussian import QGaussian, _deformation_scale, _support_threshold
 
 __all__ = [
     "QlqrInstance",
@@ -25,6 +25,7 @@ __all__ = [
     "policy_entropy",
     "policy_tsallis_entropy",
     "expected_quadratic_cost",
+    "sweep_metrics",
     "sweep_q",
 ]
 
@@ -113,24 +114,15 @@ def _riccati_step(pi_next, a, b, q_cost, s_cost, r_cost):
     return 0.5 * (pi + pi.T), gain, 0.5 * (r_t + r_t.T)
 
 
-def _noise_from_effective_cost(r_t, lam, q):
-    m = r_t.shape[0]
-    eta = deformation_eta(r_t, lam, q)
-    sigma_inv = _deformation_scale(m, q) / lam * eta * r_t
-    sigma = np.linalg.inv(sigma_inv)
-    sigma = 0.5 * (sigma + sigma.T)
-    thresh = _deformation_scale(m, q) / (1.0 - q)
-    radii = np.sqrt(np.linalg.eigvalsh(sigma) * thresh)
-    return sigma, eta, radii
-
-
 def _package(instance, pis, gains, effective_costs):
+    """Solution whose stage-k noise is the ent-max of the effective input cost."""
     sigmas, etas, radii = [], [], []
     for r_t in effective_costs:
-        sigma, eta, rad = _noise_from_effective_cost(r_t, instance.lam, instance.q)
-        sigmas.append(sigma)
-        etas.append(eta)
-        radii.append(rad)
+        noise = entmax_quadratic(r_t, np.zeros(r_t.shape[0]), instance.lam, instance.q)
+        gaussian = noise.gaussian
+        sigmas.append(gaussian.sigma)
+        etas.append(noise.eta)
+        radii.append(np.sqrt(np.linalg.eigvalsh(gaussian.sigma) * gaussian.support_threshold))
     return QlqrSolution(
         np.asarray(pis),
         np.asarray(gains),
@@ -233,11 +225,11 @@ def support_envelope(instance, solution, steps, initial_set_radius=0.0):
     shape = np.eye(n) * initial_set_radius**2
     lower[0] = center - np.sqrt(np.diag(shape))
     upper[0] = center + np.sqrt(np.diag(shape))
+    thresh = _support_threshold(instance.input_dim, instance.q)
     for k in range(steps):
         f = instance.a + instance.b @ _stage(solution.gains, k)
         center = f @ center
         mapped = f @ shape @ f.T
-        thresh = _deformation_scale(instance.input_dim, instance.q) / (1.0 - instance.q)
         noise_shape = thresh * instance.b @ _stage(solution.noise_covariances, k) @ instance.b.T
         shape = _ellipsoid_sum(mapped, noise_shape)
         half = np.sqrt(np.maximum(np.diag(shape), 0.0))
@@ -272,12 +264,11 @@ def policy_tsallis_entropy(sigma, q):
     sigma = _mat(sigma)
     n = sigma.shape[0]
     z = QGaussian(np.zeros(n), sigma, q).normalizer()
-    d = _deformation_scale(n, q)
     g = q / (1.0 - q)
     log_int = (
         -q * np.log(z)
         + 0.5 * np.linalg.slogdet(sigma)[1]
-        + (n / 2.0) * np.log(np.pi * d / (1.0 - q))
+        + (n / 2.0) * np.log(np.pi * _support_threshold(n, q))
         + gammaln(g + 1.0)
         - gammaln(g + n / 2.0 + 1.0)
     )
@@ -325,25 +316,26 @@ def expected_quadratic_cost(instance, solution, steps):
     return float(total)
 
 
+def sweep_metrics(instance, solution, steps):
+    """Sweep point: expected cost over ``steps`` stages, stage-0 noise entropy and radius."""
+    return {
+        "cost": expected_quadratic_cost(instance, solution, steps),
+        "entropy": policy_entropy(solution.noise_covariances[0], instance.q),
+        "support_radius": float(np.max(solution.support_radii[0])),
+    }
+
+
 def sweep_q(make_instance, q_grid, steps=50):
     """Solve the stationary problem for each q and tabulate metrics.
 
     ``make_instance`` maps q to a QlqrInstance.  Returns a list of dicts
-    with keys q, cost, entropy, support_radius.
+    with keys q, cost, entropy, tsallis_entropy, support_radius.
     """
     rows = []
     for q in q_grid:
         instance = make_instance(q)
         sol = solve_qlqr_stationary(instance)
-        rows.append(
-            {
-                "q": float(q),
-                "cost": expected_quadratic_cost(instance, sol, steps),
-                "entropy": policy_entropy(sol.noise_covariances[0], q),
-                "tsallis_entropy": policy_tsallis_entropy(sol.noise_covariances[0], q)
-                if q > 0
-                else float("nan"),
-                "support_radius": float(np.max(sol.support_radii[0])),
-            }
-        )
+        metrics = sweep_metrics(instance, sol, steps)
+        tsallis = policy_tsallis_entropy(sol.noise_covariances[0], q) if q > 0 else float("nan")
+        rows.append({"q": float(q), **metrics, "tsallis_entropy": tsallis})
     return rows

@@ -74,6 +74,14 @@ class TestSolve:
         b = open(os.path.join(out2, "policy.csv")).read()
         assert a == b
 
+    def test_bundle_identical_across_runs(self, tmp_path):
+        out = str(tmp_path)
+        bundles = []
+        for _ in range(2):
+            assert run(["solve", instance_path("troc_small.json"), "--out", out]) == 0
+            bundles.append(open(os.path.join(out, "result_bundle.json"), "rb").read())
+        assert bundles[0] == bundles[1]
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QOC_OUT_DIR", str(tmp_path))
         assert run(["solve", instance_path("troc_small.json")]) == 0
@@ -202,6 +210,45 @@ class TestSimulate:
         )
         assert code == 2
 
+    def test_horizon_too_short(self, tmp_path, capsys):
+        out = str(tmp_path)
+        run(["solve", instance_path("qlqr_scalar.json"), "--out", out, "--horizon", "5"])
+        args = ["simulate", instance_path("qlqr_scalar.json"), os.path.join(out, "solution.json")]
+        assert run(args + ["--out", out, "--steps", "6"]) == 2
+        assert "horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, message, edit",
+        [
+            ("qlqr_scalar.json", "etas", lambda doc: {k: doc[k] for k in doc if k != "etas"}),
+            (
+                "qlqr_scalar.json",
+                "noise_covariances",
+                lambda doc: dict(doc, noise_covariances=[[1.0, 0.0]] * 100),
+            ),
+            (
+                "qkl_ring4.json",
+                "controlled_matrices",
+                lambda doc: dict(
+                    doc,
+                    controlled_matrices=(np.nan * np.array(doc["controlled_matrices"])).tolist(),
+                ),
+            ),
+            ("qkl_ring4.json", "values", lambda doc: dict(doc, values="none")),
+            ("qkl_ring4.json", "JSON object", lambda doc: [doc]),
+        ],
+    )
+    def test_malformed_solution_exits_1(self, tmp_path, capsys, name, message, edit):
+        out = str(tmp_path)
+        run(["solve", instance_path(name), "--out", out])
+        solution = os.path.join(out, "solution.json")
+        doc = edit(json.load(open(solution)))
+        with open(solution, "w") as fh:
+            json.dump(doc, fh)
+        code = run(["simulate", instance_path(name), solution, "--out", out, "--steps", "5"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_qkl_rollouts_deterministic(self, tmp_path):
         out = str(tmp_path)
         run(["solve", instance_path("qkl_ring4.json"), "--out", out, "--horizon", "40"])
@@ -239,3 +286,4 @@ class TestIoHelpers:
     def test_validate_rejects_unknown_kind(self):
         with pytest.raises(InstanceError):
             validate_instance_dict({"kind": "mystery", "q": 0.3, "lambda": 1.0, "horizon": 5})
+

@@ -43,6 +43,16 @@ class TestDensity:
         dens = np.array([g.density([x]) for x in xs])
         assert np.max(np.abs(dens - normal)) < 1e-2
 
+    def test_normalizer_high_dimension(self):
+        # det(0.01 I) = 1e-400 underflows to 0; Z scales as det(sigma)^{1/2}
+        m = 200
+        small = QGaussian(np.zeros(m), 0.01 * np.eye(m), 0.5)
+        unit = QGaussian(np.zeros(m), np.eye(m), 0.5)
+        assert np.log(small.normalizer()) == pytest.approx(
+            np.log(unit.normalizer()) + (m / 2.0) * np.log(0.01), rel=1e-12
+        )
+        assert np.isfinite(small.density(np.zeros(m)))
+
 
 class TestSupportRadius:
     def test_scalar_q0(self):
