@@ -20,6 +20,7 @@ from .entmax import (
     QuadraticEntmaxResult,
     entmax_discrete,
     entmax_quadratic,
+    entmax_rows,
     entmax_weighted,
 )
 from .qgaussian import QGaussian

@@ -100,18 +100,13 @@ def _sweep_point(kind, instance):
     if kind == "qkl":
         p = sol.controlled_matrices[0]
         cost = qkl.evaluate_cost(instance, sol.controlled_matrices)
-        ent = float(
-            sum(
-                instance.initial[j] * deformed_entropy(p[:, j], instance.q)
-                for j in range(instance.num_states)
-            )
-        )
+        ent = float(instance.initial @ deformed_entropy(p.T, instance.q))
         sparsity = int(np.sum((p == 0) & (instance.passive_matrix > 0)))
         return cost, ent, 0.0, sparsity
     if kind == "troc":
         init = np.full(instance.num_states, 1.0 / instance.num_states)
         cost = float(init @ sol.value[0])
-        ent = float(np.mean([deformed_entropy(r, instance.q) for r in sol.policy[0]]))
+        ent = float(np.mean(deformed_entropy(sol.policy[0], instance.q)))
         return cost, ent, 0.0, int(np.sum(sol.policy == 0))
     metrics = qlqr.sweep_metrics(instance, sol, instance.horizon)
     return metrics["cost"], metrics["entropy"], metrics["support_radius"], 0

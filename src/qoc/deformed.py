@@ -95,12 +95,20 @@ def log_q(x, q):
     return out if out.ndim else float(out)
 
 
-def _plogq(w, q):
-    """Sum of w_i * log_q(w_i) with the 0 * log_q(0) = 0 convention."""
-    w = np.asarray(w, dtype=float)
-    pos = w > 0
-    wp = w[pos]
-    return float(np.sum(wp * np.expm1((1.0 - q) * np.log(wp)) / (1.0 - q)))
+def _plogq(p, q, ref=None):
+    """Sum over the last axis of p_i * log_q(p_i / ref_i); ref defaults to 1.
+
+    Terms with p_i = 0 are 0.  A row with p_i > 0 where ref_i <= 0 sums to
+    +inf.  Returns a float for a 1-d ``p`` and one value per row otherwise.
+    """
+    p = np.asarray(p, dtype=float)
+    ref = np.ones_like(p) if ref is None else np.asarray(ref, dtype=float)
+    pos = p > 0
+    ok = pos & (ref > 0)
+    logs = np.log(np.divide(p, ref, out=np.ones_like(p), where=ok))  # 0 off ``ok``
+    total = np.sum(p * np.expm1((1.0 - q) * logs) / (1.0 - q), axis=-1)
+    total = np.where(np.any(pos & ~ok, axis=-1), np.inf, total)
+    return float(total) if total.ndim == 0 else total
 
 
 def deformed_entropy(phi, q):
@@ -108,6 +116,7 @@ def deformed_entropy(phi, q):
 
     Satisfies the additive duality H_q(phi) = T_{2-q}(phi) with the Tsallis
     entropy, and tends to the Shannon entropy plus a constant as q -> 1.
+    A 2-d ``phi`` gives one entropy per row.
     """
     q = _as_q(q)
     w = phi.weights if isinstance(phi, DiscreteDistribution) else np.asarray(phi, float)
@@ -143,16 +152,12 @@ def qkl_divergence(phi, psi, q):
         D_q(phi || psi) = (1/(2-q)) sum_i phi_i log_q(phi_i / psi_i)
 
     Returns +inf when the support of phi is not contained in the support
-    of psi.  Always non-negative.
+    of psi.  Always non-negative.  2-d arguments give one divergence per
+    row.
     """
     q = _as_q(q)
     p = phi.weights if isinstance(phi, DiscreteDistribution) else np.asarray(phi, float)
     s = psi.weights if isinstance(psi, DiscreteDistribution) else np.asarray(psi, float)
     if p.shape != s.shape:
         raise ValueError("distributions must have the same length")
-    pos = p > 0
-    if np.any(s[pos] <= 0):
-        return float("inf")
-    ratio = p[pos] / s[pos]
-    total = float(np.sum(p[pos] * np.expm1((1.0 - q) * np.log(ratio)) / (1.0 - q)))
-    return total / (2.0 - q)
+    return _plogq(p, q, s) / (2.0 - q)

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.special import gammaln
 
 from .deformed import (
-    DeformationParameter,
     DiscreteDistribution,
     _as_q,
     deformed_entropy,
@@ -29,13 +28,12 @@ from .qgaussian import QGaussian, _deformation_scale
 __all__ = [
     "EntmaxResult",
     "QuadraticEntmaxResult",
+    "entmax_rows",
     "entmax_discrete",
     "entmax_weighted",
     "entmax_quadratic",
     "deformation_eta",
 ]
-
-ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -51,58 +49,114 @@ class QuadraticEntmaxResult:
     eta: float
 
 
-def _normalization_root(costs, weights, lam, q, bracket=None):
-    """Solve sum_i w_i exp_q(-costs_i/lam + C) = 1 for C by bisection.
+def _check_lam(lam):
+    if not (lam > 0) or not np.isfinite(lam):
+        raise ValueError(f"lam must be positive and finite, got {lam}")
 
-    The left-hand side is continuous and nondecreasing in C, so bisection
-    on a sign-changing bracket converges unconditionally.
+
+def entmax_rows(costs, weights, lam, q, *, _bracket=None):
+    """Ent-max of every row of ``costs`` at once; returns (probs, C, objective).
+
+    Row r solves phi_i = w_i * exp_q(-costs_i / lam + C_r) with sum_i phi_i = 1.
+    ``weights=None`` means w = 1 and the objective E_phi[costs] - lam * H_q(phi);
+    otherwise the objective is <costs, phi> + lam * D_q(phi || w), zero
+    weights stay exactly zero and costs there are ignored.
+
+    The root is bracketed in closed form.  With s = costs / lam on the
+    support, s* = min s and W = sum w, the shifted normalizer c' = C - s*
+    lies in [log_q(1/W), min_i (s_i - s* + log_q(1/w_i))]: at the lower
+    end every term is at most w_i / W, and at the upper end one term alone
+    is w_i exp_q(log_q(1/w_i)) = 1.  The upper end is at most log_q(1/w*),
+    w* the weight at the argmin of s, and no exp_q argument exceeds it, so
+    nothing overflows.  All rows bisect together; each stops once
+    hi - lo < 1e-15 (1 + |mid|).
     """
-    scaled = costs / lam
+    q = _as_q(q)
+    _check_lam(lam)
+    costs = np.asarray(costs, dtype=float)
+    if costs.ndim != 2 or costs.size == 0:
+        raise ValueError("costs must be a non-empty (rows, K) array")
+    if weights is None:
+        w = np.ones_like(costs)
+        sup = np.ones(costs.shape, dtype=bool)
+        if not np.all(np.isfinite(costs)):
+            raise ValueError("costs must be non-empty and finite")
+    else:
+        w = np.asarray(weights, dtype=float)
+        if costs.shape != w.shape:
+            raise ValueError("costs and weights must have matching shapes")
+        if np.any(w < 0):
+            raise ValueError("weights must be non-negative")
+        sup = w > 0
+        if not np.all(np.any(sup, axis=1)):
+            raise ValueError("at least one weight must be positive")
+        if not np.all(np.isfinite(costs[sup])):
+            raise ValueError("costs must be finite on the support of weights")
+    masked = np.where(sup, costs, np.inf)
+    c_min = masked.min(axis=1)
+    s_min = c_min / lam
+    diff = masked - c_min[:, None]  # +inf off the support, so exp_q gives 0 there
+    gap = diff / lam  # s - s*, without rounding s = costs / lam first
+    lo = log_q(1.0 / np.sum(w, axis=1), q)
+    # term i alone reaches 1 at c' = gap_i + log_q(1/w_i); a subnormal w_i
+    # may overflow to an infinite end, which the minimum passes over
+    with np.errstate(over="ignore"):
+        ends = np.where(sup, gap + log_q(1.0 / np.where(sup, w, 1.0), q), np.inf)
+    hi = np.min(ends, axis=1)
 
     def g(c):
-        return float(np.sum(weights * exp_q(-scaled + c, q))) - 1.0
+        return np.sum(w * exp_q(c[:, None] - gap, q), axis=1) - 1.0
 
-    if bracket is None:
-        lo = float(np.min(scaled)) - 1.0 / (1.0 - q) - 1.0
-        hi = float(np.max(scaled)) + 1.0
-    else:
-        lo, hi = bracket
-        if g(lo) > 0.0:
+    if _bracket is not None:  # _normalization_root's override, kept inside the closed form
+        lo, hi = (np.clip(np.asarray(b, dtype=float) - s_min, lo, hi) for b in _bracket)
+        if np.any(g(lo) > 0.0):
             raise ValueError("bracket lower end does not undershoot")
-    step = max(1.0, hi - lo)
-    while g(hi) < 0.0:  # small weights can push the root above the default bracket
-        hi += step
-        step *= 2.0
-    # g(lo) = -1 by construction: every exp_q argument is below the clip point
+    active = np.ones(costs.shape[0], dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-15 * (1.0 + abs(mid)):
+        below = g(mid) < 0.0
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active &= ~(hi - lo < 1e-15 * (1.0 + np.abs(mid)))
+        if not active.any():
             break
     c = 0.5 * (lo + hi)
     residual = g(c)
-    if not abs(residual) < 1e-9:
-        raise RuntimeError(f"normalization root did not converge: residual {residual:.3g}")
-    return c
+    bad = np.flatnonzero(~(np.abs(residual) < 1e-9))
+    if bad.size:
+        r = bad[0]
+        raise RuntimeError(
+            f"normalization root did not converge in row {r}: residual {residual[r]:.3g}"
+        )
+    probs = w * exp_q(c[:, None] - gap, q)
+    probs /= probs.sum(axis=1, keepdims=True)
+    # shifted by the smallest cost, so a sum of probs off 1 by rounding barely moves it
+    expected = c_min + np.sum(probs * np.where(sup, diff, 0.0), axis=1)
+    if weights is None:
+        objective = expected - lam * deformed_entropy(probs, q)
+    else:
+        objective = expected + lam * qkl_divergence(probs, w, q)
+    return probs, c + s_min, objective
+
+
+def _normalization_root(costs, weights, lam, q, bracket=None):
+    """C solving sum_i w_i exp_q(-costs_i/lam + C) = 1: one row of ``entmax_rows``."""
+    costs = np.asarray(costs, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    return float(entmax_rows(costs[None], weights[None], lam, q, _bracket=bracket)[1][0])
+
+
+def _one_row(costs, weights, lam, q):
+    probs, c, objective = entmax_rows(costs[None], weights, lam, q)
+    return EntmaxResult(DiscreteDistribution(probs[0]), float(c[0]), float(objective[0]))
 
 
 def entmax_discrete(costs, lam, q):
     """Unique minimizer of E_phi[costs] - lam * H_q(phi) over the simplex."""
-    q = _as_q(q)
     costs = np.asarray(costs, dtype=float)
-    if costs.size == 0 or not np.all(np.isfinite(costs)):
-        raise ValueError("costs must be non-empty and finite")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    c = _normalization_root(costs, np.ones_like(costs), lam, q)
-    probs = exp_q(-costs / lam + c, q)
-    probs = probs / probs.sum()
-    dist = DiscreteDistribution(probs)
-    objective = float(probs @ costs) - lam * deformed_entropy(dist, q)
-    return EntmaxResult(dist, c, objective)
+    if costs.ndim != 1:
+        raise ValueError("costs must be a 1-d vector")
+    return _one_row(costs, None, lam, q)
 
 
 def entmax_weighted(costs, weights, lam, q):
@@ -112,29 +166,11 @@ def entmax_weighted(costs, weights, lam, q):
     inherits the support of ``weights``: zero-weight indices stay exactly
     zero, so only transitions already possible without control are used.
     """
-    q = _as_q(q)
     costs = np.asarray(costs, dtype=float)
     weights = np.asarray(weights, dtype=float)
-    if costs.shape != weights.shape:
-        raise ValueError("costs and weights must have matching shapes")
-    if np.any(weights < 0):
-        raise ValueError("weights must be non-negative")
-    if not np.any(weights > 0):
-        raise ValueError("at least one weight must be positive")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    sup = weights > 0
-    if not np.all(np.isfinite(costs[sup])):
-        raise ValueError("costs must be finite on the support of weights")
-    c = _normalization_root(costs[sup], weights[sup], lam, q)
-    probs = np.zeros_like(weights)
-    probs[sup] = weights[sup] * exp_q(-costs[sup] / lam + c, q)
-    probs[probs > 0] /= probs.sum()
-    dist = DiscreteDistribution(probs)
-    objective = float(probs @ np.where(sup, costs, 0.0)) + lam * qkl_divergence(
-        probs, weights, q
-    )
-    return EntmaxResult(dist, c, objective)
+    if costs.ndim != 1 or costs.shape != weights.shape:
+        raise ValueError("costs and weights must be 1-d vectors of matching shapes")
+    return _one_row(costs, weights[None], lam, q)
 
 
 def deformation_eta(r_matrix, lam, q):
@@ -171,8 +207,7 @@ def entmax_quadratic(r_matrix, mean, lam, q):
         raise ValueError("r_matrix must be symmetric")
     if np.any(np.linalg.eigvalsh(r_matrix) <= 0):
         raise ValueError("r_matrix must be positive definite")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _check_lam(lam)
     n = r_matrix.shape[0]
     eta = deformation_eta(r_matrix, lam, q)
     sigma_inv = _deformation_scale(n, q) / lam * eta * r_matrix

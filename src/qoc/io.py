@@ -110,12 +110,35 @@ def _solution_layout(instance):
     )
 
 
+def _column_stochastic(stack):
+    return bool(np.all(stack >= 0) and np.all(np.abs(stack.sum(axis=-2) - 1.0) <= 1e-9))
+
+
+def _positive_definite(stack):
+    if not np.allclose(stack, np.swapaxes(stack, -1, -2), atol=1e-12):
+        return False
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+# what a finite, well-shaped field must also be: name -> (check, description)
+_FIELD_CHECKS = {
+    "controlled_matrices": (_column_stochastic, "non-negative with columns summing to 1"),
+    "noise_covariances": (_positive_definite, "symmetric positive definite"),
+}
+
+
 def solution_from_dict(doc, instance):
     """Solution object from a parsed ``solution.json`` made for ``instance``.
 
     Every field must be present, finite and shaped for the instance, with
-    the horizon T fixed by the first field; otherwise InstanceError names
-    the field.  The caller checks ``doc["kind"]`` against the instance.
+    the horizon T fixed by the first field.  Controlled matrices must be
+    column-stochastic and noise covariances symmetric positive definite.
+    Otherwise InstanceError names the field.  The caller checks
+    ``doc["kind"]`` against the instance.
     """
     cls, layout = _solution_layout(instance)
     fields = {"q": instance.q} if cls is QlqrSolution else {}
@@ -132,6 +155,9 @@ def solution_from_dict(doc, instance):
         shape = (horizon + extra, *dims)
         if arr.shape != shape or not np.all(np.isfinite(arr)):
             raise InstanceError(f"solution field {name!r} must be finite with shape {shape}")
+        check, description = _FIELD_CHECKS.get(name, (None, None))
+        if check is not None and not check(arr):
+            raise InstanceError(f"solution field {name!r} must be {description}")
         fields[name] = arr
     return cls(**fields)
 

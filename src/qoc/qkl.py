@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import DeformationParameter, DiscreteDistribution, _as_q, qkl_divergence
-from .entmax import entmax_weighted
+from .deformed import DeformationParameter, _as_q, qkl_divergence
+# entmax_weighted is no longer called here, but bench/spans.py wraps qoc.qkl.entmax_weighted
+from .entmax import entmax_rows, entmax_weighted
 
 __all__ = [
     "QklInstance",
@@ -82,19 +83,25 @@ class QklSolution:
     normalizers: np.ndarray  # (T, n), C_k(j) per column
 
 
-def _backward_step(p0, value_next, l, lam, q):
-    n = p0.shape[0]
-    p_star = np.zeros_like(p0)
-    normalizers = np.zeros(n)
-    value = np.zeros(n)
-    for j in range(n):
-        res = entmax_weighted(value_next, p0[:, j], lam, q)
-        p_star[:, j] = res.distribution.weights
-        normalizers[j] = res.normalizer_c
-        value[j] = l[j] + lam * qkl_divergence(p_star[:, j], p0[:, j], q) + float(
-            value_next @ p_star[:, j]
-        )
-    return p_star, normalizers, value
+def _support_layout(p0):
+    """Columns of ``p0`` as padded rows (index, weight), each of width k_max.
+
+    Row j lists the passive support of column j first, then zero-weight
+    entries as padding, so a stage costs O(n k_max) instead of O(n^2).
+    """
+    order = np.argsort(p0.T <= 0, axis=1, kind="stable")
+    k_max = int(np.max(np.sum(p0 > 0, axis=0)))
+    index = order[:, :k_max]
+    return index, np.take_along_axis(p0.T, index, axis=1)
+
+
+def _backward_step(layout, value_next, l, lam, q):
+    """One stage: every column's ent-max row from the packed passive support."""
+    index, weights = layout
+    probs, normalizers, objective = entmax_rows(value_next[index], weights, lam, q)
+    p_star = np.zeros((index.shape[0], value_next.size))
+    np.put_along_axis(p_star, index, probs, axis=1)
+    return p_star.T, normalizers, l + objective
 
 
 def solve_qkl(instance):
@@ -105,9 +112,10 @@ def solve_qkl(instance):
     matrices = np.zeros((T, n, n))
     normalizers = np.zeros((T, n))
     values[T] = l
+    layout = _support_layout(p0)
     for k in range(T - 1, -1, -1):
         matrices[k], normalizers[k], values[k] = _backward_step(
-            p0, values[k + 1], l, instance.lam, instance.q
+            layout, values[k + 1], l, instance.lam, instance.q
         )
     return QklSolution(values, matrices, normalizers)
 
@@ -120,10 +128,11 @@ def solve_qkl_stationary(instance, tol=1e-10, max_iter=10_000):
     stationary controlled matrix, normalizers and the last value vector.
     """
     p0, l = instance.passive_matrix, instance.state_cost
+    layout = _support_layout(p0)
     value = l.copy()
     for _ in range(max_iter):
         p_star, normalizers, new_value = _backward_step(
-            p0, value, l, instance.lam, instance.q
+            layout, value, l, instance.lam, instance.q
         )
         drift = (new_value - new_value[0]) - (value - value[0])
         if np.max(np.abs(drift)) < tol:
@@ -171,12 +180,9 @@ def evaluate_cost(instance, matrices):
     total = 0.0
     for k in range(instance.horizon):
         pk = matrices[k]
-        div = sum(
-            phi[j] * qkl_divergence(pk[:, j], p0[:, j], instance.q)
-            for j in range(instance.num_states)
-            if phi[j] > 0
-        )
-        total += float(l @ phi) + instance.lam * div
+        reached = phi > 0  # an unreached column adds nothing, even at infinite divergence
+        div = qkl_divergence(pk.T[reached], p0.T[reached], instance.q)
+        total += float(l @ phi) + instance.lam * float(phi[reached] @ div)
         phi = pk @ phi
     return total + float(l @ phi)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed import DeformationParameter, DiscreteDistribution, _as_q, deformed_entropy
-from .entmax import entmax_discrete
+# entmax_discrete is no longer called here, but bench/spans.py wraps qoc.troc.entmax_discrete
+from .entmax import entmax_discrete, entmax_rows
 
 __all__ = ["FiniteTrocInstance", "TrocSolution", "solve_troc", "evaluate_policy"]
 
@@ -89,11 +90,7 @@ def solve_troc(instance):
     value[T] = instance.terminal_cost
     for k in range(T - 1, -1, -1):
         q_values[k] = instance.cost_at(k) + instance.kernel @ value[k + 1]
-        for x in range(n):
-            res = entmax_discrete(q_values[k, x], lam, q)
-            policy[k, x] = res.distribution.weights
-            normalizers[k, x] = res.normalizer_c
-            value[k, x] = res.objective_value
+        policy[k], normalizers[k], value[k] = entmax_rows(q_values[k], None, lam, q)
     return TrocSolution(value, q_values, policy, normalizers)
 
 
@@ -117,10 +114,8 @@ def evaluate_policy(instance, policy, initial):
     lam, q = instance.lam, instance.q
     total = 0.0
     for k in range(T):
-        costs = instance.cost_at(k)
-        for x in range(n):
-            row = policy[k, x]
-            total += mu[x] * (row @ costs[x] - lam * deformed_entropy(row, q))
+        expected = np.sum(policy[k] * instance.cost_at(k), axis=1)
+        total += float(mu @ (expected - lam * deformed_entropy(policy[k], q)))
         # joint over (x, u) pushed through the kernel
         mu = np.einsum("x,xu,xuy->y", mu, policy[k], instance.kernel)
     total += float(mu @ instance.terminal_cost)

@@ -287,3 +287,33 @@ class TestIoHelpers:
         with pytest.raises(InstanceError):
             validate_instance_dict({"kind": "mystery", "q": 0.3, "lambda": 1.0, "horizon": 5})
 
+
+
+class TestSimulateRejectsInvalidSolutions:
+    def _simulate_edited(self, tmp_path, name, edit):
+        out = str(tmp_path)
+        assert run(["solve", instance_path(name), "--out", out]) == 0
+        solution = os.path.join(out, "solution.json")
+        doc = json.load(open(solution))
+        edit(doc)
+        with open(solution, "w") as fh:
+            json.dump(doc, fh)
+        return run(["simulate", instance_path(name), solution, "--out", out, "--steps", "5"])
+
+    @pytest.mark.parametrize("entry", [-0.5, 0.9])
+    def test_qkl_column_not_a_distribution(self, tmp_path, capsys, entry):
+        # -0.5 is negative; 0.9 keeps every entry non-negative but breaks a column sum
+        def edit(doc):
+            doc["controlled_matrices"][0][0][0] = entry
+
+        assert self._simulate_edited(tmp_path, "qkl_ring4.json", edit) == 1
+        err = capsys.readouterr().err
+        assert "controlled_matrices" in err and "Traceback" not in err
+
+    def test_qlqr_noise_covariance_not_positive_definite(self, tmp_path, capsys):
+        def edit(doc):
+            doc["noise_covariances"][1] = [[-1.0]]
+
+        assert self._simulate_edited(tmp_path, "qlqr_scalar.json", edit) == 1
+        err = capsys.readouterr().err
+        assert "noise_covariances" in err and "positive definite" in err
