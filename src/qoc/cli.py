@@ -59,12 +59,10 @@ def _write_stage_matrices(path, stack):
     stack = np.asarray(stack)
     if stack.ndim == 2:
         stack = stack[:, :, None]
-    header = ["stage", "row"] + [f"c{j}" for j in range(stack.shape[2])]
-    rows = []
-    for k in range(stack.shape[0]):
-        for i in range(stack.shape[1]):
-            rows.append([k, i] + list(stack[k, i]))
-    qio.write_csv(path, header, rows)
+    stages, rows, cols = stack.shape
+    index = np.indices((stages, rows)).reshape(2, -1).T
+    header = ["stage", "row"] + [f"c{j}" for j in range(cols)]
+    qio.write_csv(path, header, np.hstack([index, stack.reshape(-1, cols)]))
 
 
 def cmd_solve(args):
@@ -128,11 +126,8 @@ def cmd_sweep(args):
             print(f"sweep point {value} failed: {exc}", file=sys.stderr)
     out = _out_dir(args)
     csv_path = os.path.join(out, "sweep.csv")
-    qio.write_csv(
-        csv_path,
-        ["parameter", "cost", "entropy", "support_radius", "sparsity_count"],
-        rows,
-    )
+    header = ["parameter", "cost", "entropy", "support_radius", "sparsity_count"]
+    qio.write_csv(csv_path, header, np.reshape(rows, (-1, len(header))))
     bundle_path = os.path.join(out, "result_bundle.json")
     qio.write_json(
         bundle_path,
@@ -174,11 +169,7 @@ def cmd_simulate(args):
         env_path = os.path.join(out, "envelope.csv")
         n = instance.state_dim
         header = ["stage"] + [f"lower{i}" for i in range(n)] + [f"upper{i}" for i in range(n)]
-        qio.write_csv(
-            env_path,
-            header,
-            [[k] + list(lower[k]) + list(upper[k]) for k in range(args.steps + 1)],
-        )
+        qio.write_csv(env_path, header, np.column_stack([np.arange(args.steps + 1), lower, upper]))
         files.append(env_path)
         if args.trajectories > 0:
             states, inputs = qlqr.simulate_closed_loop(
@@ -190,20 +181,26 @@ def cmd_simulate(args):
                 + [f"x{i}" for i in range(n)]
                 + [f"u{i}" for i in range(instance.input_dim)]
             )
-            rows = []
-            for k in range(args.steps + 1):
-                for t in range(args.trajectories):
-                    u = list(inputs[k, t]) if k < args.steps else [""] * instance.input_dim
-                    rows.append([k, t] + list(states[k, t]) + u)
-            qio.write_csv(traj_path, header, rows)
+            index = np.indices(states.shape[:2]).reshape(2, -1).T
+            table = np.hstack([index, states.reshape(-1, n)])
+            # the last stage has no input, so its rows end in empty cells
+            split = args.steps * args.trajectories
+            inputs = inputs.reshape(split, instance.input_dim)
+            qio.write_csv(traj_path, header, np.hstack([table[:split], inputs]), table[split:])
             files.append(traj_path)
     else:
-        rows = []
-        for t in range(args.trajectories):
-            path = qkl.rollout(instance, sol.controlled_matrices, args.steps, (args.seed, t))
-            rows.extend([k, t, int(s)] for k, s in enumerate(path))
+        paths = [
+            qkl.rollout(instance, sol.controlled_matrices, args.steps, (args.seed, t))
+            for t in range(args.trajectories)
+        ]
+        paths = np.reshape(paths, (args.trajectories, args.steps + 1))
+        trajectory, stage = np.indices(paths.shape)
         traj_path = os.path.join(out, "trajectories.csv")
-        qio.write_csv(traj_path, ["stage", "trajectory", "state"], rows)
+        qio.write_csv(
+            traj_path,
+            ["stage", "trajectory", "state"],
+            np.column_stack([stage.ravel(), trajectory.ravel(), paths.ravel()]),
+        )
         files.append(traj_path)
     bundle_path = os.path.join(out, "result_bundle.json")
     qio.write_json(bundle_path, _bundle(args, args.instance, files, {"kind": kind}))

@@ -1,7 +1,7 @@
 """Instance file loading, schema validation and deterministic output writing."""
 
-import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -34,17 +34,21 @@ class InstanceError(ValueError):
     """Malformed or schema-invalid instance file."""
 
 
-def _schema():
+@functools.cache
+def _validator():
+    """The instance schema's validator, read and checked once per process."""
     with resources.files("qoc.schemas").joinpath("instance.schema.json").open() as fh:
-        return json.load(fh)
+        schema = json.load(fh)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_instance_dict(doc):
     """Schema-check a parsed instance document; raises InstanceError."""
-    try:
-        jsonschema.validate(doc, _schema())
-    except jsonschema.ValidationError as exc:
-        raise InstanceError(f"invalid instance at {exc.json_path}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+    if error is not None:
+        raise InstanceError(f"invalid instance at {error.json_path}: {error.message}") from error
 
 
 INSTANCE_TYPES = {"qkl": QklInstance, "troc": FiniteTrocInstance, "qlqr": QlqrInstance}
@@ -162,11 +166,6 @@ def solution_from_dict(doc, instance):
     return cls(**fields)
 
 
-def fmt(x):
-    """Serialize a float with 17 significant digits (lossless round trip)."""
-    return format(float(x), ".17g")
-
-
 def atomic_write_text(path, text):
     """Write via a temp file and rename, so partial files never appear."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -182,16 +181,18 @@ def atomic_write_text(path, text):
         raise
 
 
-def write_csv(path, header, rows):
-    """Atomic CSV write; numeric cells serialized with 17 significant digits."""
-    import io as _io
+def write_csv(path, header, *tables):
+    """Atomic CSV write of 2-d numeric tables, in order, below one header.
 
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([fmt(c) if isinstance(c, (int, float, np.floating)) else c for c in row])
-    atomic_write_text(path, buf.getvalue())
+    Every cell is written with 17 significant digits (a lossless round
+    trip); a table narrower than the header ends its rows in empty cells.
+    """
+    parts = [",".join(header) + "\n"]
+    for table in tables:
+        rows, cols = np.shape(table)
+        line = ",".join(["%.17g"] * cols + [""] * (len(header) - cols)) + "\n"
+        parts.append((line * rows) % tuple(np.ravel(table).tolist()))
+    atomic_write_text(path, "".join(parts))
 
 
 def _jsonable(obj):

@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.special import gammaln
 
-from .deformed import DeformationParameter, _as_q, exp_q
+from .deformed import _as_q, exp_q
 
 __all__ = ["QGaussian"]
 
@@ -90,29 +90,15 @@ class QGaussian:
     def sample(self, count, seed):
         """Draw ``count`` samples, deterministically for a given seed.
 
-        Rejection sampling with the uniform distribution on the support
-        ellipsoid as proposal; the acceptance ratio is the density over its
-        maximum at the center, so the draw is exact.
+        Direct draw from the elliptical law: a uniform direction on the
+        sphere scaled so that the squared Mahalanobis radius over the support
+        threshold is Beta(n/2, (2-q)/(1-q)) (a Pearson type II law; Fang,
+        Kotz & Ng 1990).  Every draw lies inside the support and is exact.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
         rng = np.random.default_rng(seed)
-        n = self.dim
-        scale = _deformation_scale(n, self.q)
-        thresh = self.support_threshold
-        out = np.empty((count, n))
-        filled = 0
-        while filled < count:
-            batch = max(2 * (count - filled), 1024)
-            z = rng.standard_normal((batch, n))
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            r = rng.random(batch) ** (1.0 / n)
-            y = z * (r * np.sqrt(thresh))[:, None]  # uniform in the unit-Mahalanobis ball
-            s = np.sum(y * y, axis=1)
-            accept = rng.random(batch) < exp_q(-s / scale, self.q)
-            accept &= s < thresh
-            y = y[accept]
-            take = min(count - filled, y.shape[0])
-            out[filled : filled + take] = y[:take]
-            filled += take
-        return self.mu + out @ self._chol.T
+        z = rng.standard_normal((count, self.dim))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        t = rng.beta(self.dim / 2.0, (2.0 - self.q) / (1.0 - self.q), size=count)
+        return self.mu + (z * np.sqrt(self.support_threshold * t)[:, None]) @ self._chol.T

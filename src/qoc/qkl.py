@@ -16,7 +16,7 @@ import numpy as np
 
 from .deformed import DeformationParameter, _as_q, qkl_divergence
 # entmax_weighted is no longer called here, but bench/spans.py wraps qoc.qkl.entmax_weighted
-from .entmax import entmax_rows, entmax_weighted
+from .entmax import _check_lam, entmax_rows, entmax_weighted
 
 __all__ = [
     "QklInstance",
@@ -61,8 +61,7 @@ class QklInstance:
             raise ValueError("state_cost must have length n")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        _check_lam(self.lam)
         init = self.initial
         if init is None:
             init = np.full(n, 1.0 / n)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed import DeformationParameter, _as_q
-from .entmax import entmax_quadratic
+from .entmax import _check_lam, entmax_quadratic
 from .qgaussian import QGaussian, _deformation_scale, _support_threshold
 
 __all__ = [
@@ -68,8 +68,7 @@ class QlqrInstance:
             raise ValueError("R must be positive definite")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        _check_lam(self.lam)
         x0 = self.initial_state
         x0 = np.zeros(n) if x0 is None else np.atleast_1d(np.asarray(x0, dtype=float))
         if x0.shape != (n,):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .deformed import DeformationParameter, DiscreteDistribution, _as_q, deformed_entropy
 # entmax_discrete is no longer called here, but bench/spans.py wraps qoc.troc.entmax_discrete
-from .entmax import entmax_discrete, entmax_rows
+from .entmax import _check_lam, entmax_discrete, entmax_rows
 
 __all__ = ["FiniteTrocInstance", "TrocSolution", "solve_troc", "evaluate_policy"]
 
@@ -51,8 +51,7 @@ class FiniteTrocInstance:
             raise ValueError("each kernel slice must be a distribution over next states")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        _check_lam(self.lam)
         if self.stage_cost.shape not in ((n, m), (self.horizon, n, m)):
             raise ValueError("stage_cost must have shape (n, m) or (T, n, m)")
         if self.terminal_cost.shape != (n,):

@@ -43,6 +43,27 @@ class TestValidate:
     def test_override_can_invalidate(self, capsys):
         assert run(["validate", instance_path("qkl_ring4.json"), "--q", "2.0"]) == 1
 
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("troc_small.json", "q", "half", "$.q: 'half' is not of type 'number'"),
+            ("qkl_ring4.json", "kind", None, "$: 'kernel' is a required property"),
+            ("qlqr_scalar.json", "horizon", -3, "$.horizon: -3 is less than the minimum of 1"),
+            ("qlqr_scalar.json", "a", [[1.0, "x"]], "$.a[0][1]: 'x' is not of type 'number'"),
+        ],
+    )
+    def test_schema_error_message_is_exact(self, tmp_path, capsys, name, key, value, message):
+        doc = json.load(open(instance_path(name)))
+        if value is None:
+            del doc[key]
+        else:
+            doc[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for _ in range(2):  # the second run uses the validator compiled by the first
+            assert run(["validate", str(bad)]) == 1
+            assert capsys.readouterr().err == f"error: invalid instance at {message}\n"
+
 
 class TestSolve:
     def test_qkl_outputs(self, tmp_path):
@@ -150,6 +171,13 @@ class TestSweep:
         assert code == 2
         lines = open(os.path.join(out, "sweep.csv")).read().strip().splitlines()
         assert len(lines) == 2  # header plus the one good point
+
+    def test_sweep_with_no_good_point_writes_the_header_only(self, tmp_path, capsys):
+        out = str(tmp_path)
+        code = run(["sweep", instance_path("qkl_ring4.json"), "--out", out, "--grid", "1.5,2"])
+        assert code == 2
+        csv_text = open(os.path.join(out, "sweep.csv")).read()
+        assert csv_text == "parameter,cost,entropy,support_radius,sparsity_count\n"
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import stats
 
 from qoc.oracle import quadrature_moments, quadrature_normalization
 from qoc.qgaussian import QGaussian
@@ -97,3 +98,36 @@ class TestSampling:
         x = g.sample(200_000, seed=3)
         assert np.allclose(x.mean(axis=0), [0.5, -0.5], atol=0.02)
         assert np.allclose(np.cov(x.T), sigma, rtol=0.05)
+
+
+class TestSamplerLaw:
+    """The direct sampler against the q-Gaussian's radial law and moments."""
+
+    @pytest.mark.parametrize("m, q", [(1, 0.25), (4, 0.5), (32, 0.75)])
+    def test_radial_law_is_beta(self, m, q):
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(m, m))
+        g = QGaussian(rng.normal(size=m), a @ a.T + m * np.eye(m), q)
+        t = g.mahalanobis_sq(g.sample(20_000, seed=11)) / g.support_threshold
+        law = stats.beta(m / 2.0, (2.0 - q) / (1.0 - q))
+        assert stats.kstest(t, law.cdf).pvalue > 1e-3
+
+    def test_covariance_4d(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(4, 4))
+        sigma = a @ a.T + np.eye(4)
+        x = QGaussian(np.zeros(4), sigma, 0.5).sample(200_000, seed=12)
+        assert np.allclose(np.cov(x.T), sigma, atol=0.02 * np.max(np.diag(sigma)))
+
+    def test_moments_match_quadrature_1d(self):
+        g = QGaussian([0.3], [[0.7]], 0.5)
+        mean, var = quadrature_moments(g)
+        x = g.sample(1_000_000, seed=13)[:, 0]
+        assert abs(x.mean() - mean) < 4.0 * np.sqrt(var / x.size)
+        assert x.var() == pytest.approx(var, rel=0.01)
+
+    def test_high_dimension_inside_support(self):
+        g = QGaussian(np.zeros(32), np.eye(32), 0.75)
+        x = g.sample(10_000, seed=14)
+        assert x.shape == (10_000, 32)
+        assert np.all(g.mahalanobis_sq(x) < g.support_threshold)

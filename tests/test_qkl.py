@@ -32,6 +32,11 @@ def ring_instance(q=0.25, lam=1.0, horizon=200):
 
 
 class TestInstance:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            ring_instance(lam=lam)
+
     def test_rejects_non_stochastic_columns(self):
         with pytest.raises(ValueError):
             QklInstance(

@@ -50,6 +50,11 @@ def planar_instance(q=0.3, lam=0.05, horizon=30):
 
 
 class TestInstance:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            scalar_instance(lam=lam)
+
     def test_scalar_coercion(self):
         inst = scalar_instance()
         assert inst.a.shape == (1, 1)

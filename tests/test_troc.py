@@ -21,6 +21,11 @@ def random_instance(rng, n=3, m=3, horizon=4, lam=0.5, q=0.3, time_varying=False
 
 
 class TestInstance:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_lam(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            random_instance(np.random.default_rng(0), lam=lam)
+
     def test_rejects_bad_kernel(self):
         with pytest.raises(ValueError):
             FiniteTrocInstance(
