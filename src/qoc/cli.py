@@ -20,6 +20,11 @@ from .deformed import deformed_entropy
 EXIT_BAD_INSTANCE = 1
 EXIT_INFEASIBLE = 2
 
+
+class UsageError(Exception):
+    """A command-line value the command cannot use; exits like malformed input."""
+
+
 # kind -> (solver, solution field also written as <field>.csv).  The lambdas
 # look the solver up at call time, so a rebound module attribute is honoured.
 SOLVERS = {
@@ -86,10 +91,17 @@ def cmd_solve(args):
 
 
 def _grid_values(spec):
-    if ":" in spec:
-        start, stop, count = spec.split(":")
-        return np.linspace(float(start), float(stop), int(count))
-    return np.asarray([float(v) for v in spec.split(",")])
+    try:
+        if ":" in spec:
+            start, stop, count = spec.split(":")
+            grid = np.linspace(float(start), float(stop), int(count))
+        else:
+            grid = np.asarray([float(v) for v in spec.split(",")])
+    except ValueError:
+        raise UsageError(f"--grid {spec!r} is not a comma list or start:stop:count") from None
+    if grid.size == 0:
+        raise UsageError(f"--grid {spec!r} has no points")
+    return grid
 
 
 def _sweep_point(kind, instance):
@@ -112,13 +124,14 @@ def _sweep_point(kind, instance):
 
 def cmd_sweep(args):
     grid = _grid_values(args.grid)
+    doc = qio.read_instance(args.instance)
     rows = []
     failures = 0
     for value in grid:
         overrides = _overrides(args)
         overrides["q" if args.parameter == "q" else "lambda"] = float(value)
         try:
-            kind, instance = qio.load_instance(args.instance, overrides)
+            kind, instance = qio.build_instance(doc, overrides)
             cost, ent, radius, sparsity = _sweep_point(kind, instance)
             rows.append([float(value), cost, ent, radius, sparsity])
         except (qio.InstanceError, ValueError, RuntimeError) as exc:
@@ -149,6 +162,9 @@ def _load_solution(path):
 
 
 def cmd_simulate(args):
+    for name in ("steps", "trajectories"):
+        if getattr(args, name) < 0:
+            raise UsageError(f"--{name} must be non-negative, got {getattr(args, name)}")
     kind, instance = qio.load_instance(args.instance, _overrides(args))
     doc = _load_solution(args.solution)
     if doc.get("kind") != kind:
@@ -259,7 +275,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except qio.InstanceError as exc:
+    except (qio.InstanceError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INSTANCE
 

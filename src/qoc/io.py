@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -18,6 +19,8 @@ from .troc import FiniteTrocInstance, TrocSolution
 __all__ = [
     "InstanceError",
     "load_instance",
+    "read_instance",
+    "build_instance",
     "validate_instance_dict",
     "solution_to_dict",
     "solution_from_dict",
@@ -44,22 +47,89 @@ def _validator():
     return cls(schema)
 
 
+def _array_shapes(schema, depth=0):
+    """Each (depth, minimum) under which ``schema`` admits nested lists of numbers.
+
+    Understands ``type: array`` with ``items``, ``anyOf`` and a ``number``
+    leaf with an optional ``minimum``; returns None for any other keyword,
+    so a schema this walk cannot read is always left to jsonschema.
+    """
+    if schema.keys() == {"anyOf"}:
+        alternatives = [_array_shapes(s, depth) for s in schema["anyOf"]]
+        return None if None in alternatives else [a for alt in alternatives for a in alt]
+    if schema.keys() == {"type", "items"} and schema["type"] == "array":
+        return _array_shapes(schema["items"], depth + 1)
+    if schema.get("type") == "number" and schema.keys() <= {"type", "minimum"}:
+        return [(depth, schema.get("minimum"))]
+    return None
+
+
+@functools.cache
+def _array_fields():
+    """kind -> {field: [(depth, minimum), ...]} for the array fields of each kind's branch."""
+    table = {}
+    for branch in _validator().schema["allOf"]:
+        fields = {}
+        for name, sub in branch["then"]["properties"].items():
+            shapes = [(d, m) for d, m in _array_shapes(sub) or () if d > 0]  # arrays only
+            if shapes:
+                fields[name] = shapes
+        table[branch["if"]["properties"]["kind"]["const"]] = fields
+    return table
+
+
+def _vouch(value, shapes):
+    """``value`` as a float array when numpy alone shows the schema admits it, else None.
+
+    It must be lists nested to one of the ``shapes``' depths, with every
+    leaf exactly an int or a float (not a bool, which numpy would take as
+    a number), convertible to a regular float array, and at least that
+    depth's minimum everywhere (so a NaN fails wherever a minimum is set).
+    """
+    if type(value) is not list:
+        return None
+    level, depth = [value], 1  # the lists holding the entries at ``depth``
+    while (types := set(map(type, itertools.chain.from_iterable(level)))) == {list}:
+        level, depth = list(itertools.chain.from_iterable(level)), depth + 1
+    if not types or not types <= {int, float}:
+        return None
+    minimums = [minimum for d, minimum in shapes if d == depth]
+    if not minimums:
+        return None
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged rows, integers beyond float range
+        return None
+    if arr.ndim == depth and any(m is None or np.all(arr >= m) for m in minimums):
+        return arr
+    return None
+
+
 def validate_instance_dict(doc):
-    """Schema-check a parsed instance document; raises InstanceError."""
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-    if error is not None:
-        raise InstanceError(f"invalid instance at {error.json_path}: {error.message}") from error
+    """Schema-check a parsed instance document; raises InstanceError.
+
+    jsonschema is the only judge.  Array fields that numpy vouches for are
+    replaced by ``[]``, which the schema admits for each of them, before
+    jsonschema checks the rest; anything not vouched for, and any rejected
+    document, goes through jsonschema whole, so every message is its own.
+    Returns the vouched arrays as float ndarrays, by field name.
+    """
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    fields = _array_fields().get(kind, {}) if isinstance(kind, str) else {}
+    arrays = {name: _vouch(doc[name], shapes) for name, shapes in fields.items() if name in doc}
+    reduced = {**doc, **dict.fromkeys(arrays, [])} if arrays else doc
+    if any(arr is None for arr in arrays.values()) or not _validator().is_valid(reduced):
+        error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
+        if error is not None:
+            raise InstanceError(f"invalid instance at {error.json_path}: {error.message}") from error
+    return {name: arr for name, arr in arrays.items() if arr is not None}
 
 
 INSTANCE_TYPES = {"qkl": QklInstance, "troc": FiniteTrocInstance, "qlqr": QlqrInstance}
 
 
-def load_instance(path, overrides=None):
-    """Load, validate and build an instance; returns (kind, instance).
-
-    ``overrides`` may set q, lambda, horizon; command-line values take
-    precedence over the file's fields.  Every number must be finite.
-    """
+def read_instance(path):
+    """The parsed instance document at ``path``; raises InstanceError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -67,11 +137,21 @@ def load_instance(path, overrides=None):
         raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError("instance file must contain a JSON object")
+    return doc
+
+
+def build_instance(doc, overrides=None):
+    """Validate a parsed instance document and build it; returns (kind, instance).
+
+    ``overrides`` may set q, lambda, horizon; command-line values take
+    precedence over the document's fields.  Every number must be finite.
+    ``doc`` itself is not modified.
+    """
     doc = dict(doc)
     for key in ("q", "lambda", "horizon"):
         if overrides and overrides.get(key) is not None:
             doc[key] = overrides[key]
-    validate_instance_dict(doc)
+    arrays = validate_instance_dict(doc)
     kind = doc["kind"]
     cls = INSTANCE_TYPES[kind]
     try:
@@ -79,13 +159,18 @@ def load_instance(path, overrides=None):
         args = {"horizon": int(doc["horizon"]), "lam": float(doc["lambda"]), "q": float(doc["q"])}
         for f in dataclasses.fields(cls):
             if f.name in doc and f.name not in args:
-                args[f.name] = np.asarray(doc[f.name], dtype=float)
+                args[f.name] = np.asarray(arrays.get(f.name, doc[f.name]), dtype=float)
         for name, value in args.items():
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
         return kind, cls(**args)
     except (ValueError, OverflowError) as exc:
         raise InstanceError(f"invalid {kind} instance: {exc}") from exc
+
+
+def load_instance(path, overrides=None):
+    """Read, validate and build the instance at ``path``; returns (kind, instance)."""
+    return build_instance(read_instance(path), overrides)
 
 
 def solution_to_dict(kind, solution):
@@ -166,14 +251,14 @@ def solution_from_dict(doc, instance):
     return cls(**fields)
 
 
-def atomic_write_text(path, text):
-    """Write via a temp file and rename, so partial files never appear."""
+def atomic_write_text(path, *parts):
+    """Write the parts, in order, via a temp file and rename, so partial files never appear."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(parts)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -192,7 +277,7 @@ def write_csv(path, header, *tables):
         rows, cols = np.shape(table)
         line = ",".join(["%.17g"] * cols + [""] * (len(header) - cols)) + "\n"
         parts.append((line * rows) % tuple(np.ravel(table).tolist()))
-    atomic_write_text(path, "".join(parts))
+    atomic_write_text(path, *parts)
 
 
 def _jsonable(obj):
@@ -207,8 +292,44 @@ def _jsonable(obj):
     return obj
 
 
+def _array_template(shape, level):
+    """``%`` template printing a float array of ``shape`` as json.dumps(indent=2) does.
+
+    ``level`` is the indent level the array opens at; ``%r`` is float repr,
+    which is json's own float format.
+    """
+    if not shape:
+        return "%r"
+    if shape[0] == 0:
+        return "[]"
+    inner = "\n" + "  " * (level + 1)
+    item = _array_template(shape[1:], level + 1)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * level + "]"
+
+
+def _json_chunks(obj, level=0):
+    """json.dumps(obj, indent=2, sort_keys=True) opened at indent ``level``, in chunks.
+
+    Finite float arrays, also inside dicts with string keys, are printed
+    with one ``%`` operation each; everything else goes through json.dumps.
+    """
+    if isinstance(obj, np.ndarray) and obj.dtype.kind == "f" and np.all(np.isfinite(obj)):
+        yield _array_template(obj.shape, level) % tuple(obj.ravel().tolist())
+    elif isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        opening = "{"
+        for key in sorted(obj):
+            yield opening + "\n" + "  " * (level + 1) + json.dumps(key) + ": "
+            yield from _json_chunks(obj[key], level + 1)
+            opening = ","
+        yield "\n" + "  " * level + "}"
+    else:
+        text = json.dumps(_jsonable(obj), indent=2, sort_keys=True)
+        yield text.replace("\n", "\n" + "  " * level)  # json escapes newlines inside strings
+
+
 def write_json(path, payload):
-    atomic_write_text(path, json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n")
+    """Atomic write of ``payload`` as json.dumps(indent=2, sort_keys=True) plus a newline."""
+    atomic_write_text(path, *_json_chunks(payload), "\n")
 
 
 def file_checksum(path):

@@ -5,7 +5,6 @@ density formulas from scratch instead of importing the solver code, so a
 bug in a solver cannot hide in its own verifier.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ __all__ = [
 ]
 
 GRID_POINT_CAP = 10_000_000
+POLICY_CHUNK = 8192  # candidate policies per evaluate call
 
 
 @dataclass(frozen=True)
@@ -81,21 +81,27 @@ def brute_force_entmax(costs, lam, q, grid=GridSpec()):
 def brute_force_policy_search(instance, initial, evaluate, resolution=0.2):
     """Exhaustive search over per-(stage, state) action grids.
 
-    ``evaluate`` is the exact policy-evaluation function (policy, initial)
-    -> cost.  Feasible only for tiny instances: the number of decision
-    slots T * n must stay small.
+    ``evaluate`` is the exact policy-evaluation function (policies,
+    initial) -> costs, taking a (B, T, n, m) stack of policies.  Feasible
+    only for tiny instances: the number of decision slots T * n must stay
+    small.  Ties go to the first policy in itertools.product order.
     """
     n, m, T = instance.num_states, instance.num_actions, instance.horizon
     slots = T * n
     rows = simplex_grid(m, resolution)
-    if rows.shape[0] ** slots > GRID_POINT_CAP:
+    count = rows.shape[0] ** slots
+    if count > GRID_POINT_CAP:
         raise ValueError("policy grid exceeds the cap")
     best_policy, best_value = None, np.inf
-    for choice in itertools.product(range(rows.shape[0]), repeat=slots):
-        policy = rows[np.asarray(choice)].reshape(T, n, m)
-        value = evaluate(policy, initial)
-        if value < best_value:
-            best_policy, best_value = policy, value
+    for start in range(0, count, POLICY_CHUNK):
+        # row-major unravelling enumerates choices in itertools.product order
+        index = np.arange(start, min(start + POLICY_CHUNK, count))
+        choice = np.stack(np.unravel_index(index, (rows.shape[0],) * slots), axis=1)
+        policies = rows[choice].reshape(-1, T, n, m)
+        values = np.asarray(evaluate(policies, initial))
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best_policy, best_value = policies[i], float(values[i])
     return best_policy, best_value
 
 

@@ -96,13 +96,14 @@ def solve_troc(instance):
 def evaluate_policy(instance, policy, initial):
     """Exact expected regularized cost of a policy by forward propagation.
 
-    ``policy`` has shape (T, n, m); ``initial`` is a distribution over
-    states.  For the optimal policy this equals sum_x initial(x) V(0, x).
+    ``policy`` has shape (T, n, m), or (B, T, n, m) for B policies at once,
+    which gives B costs; ``initial`` is a distribution over states.  For
+    the optimal policy the cost equals sum_x initial(x) V(0, x).
     """
     policy = np.asarray(policy, dtype=float)
     n, m, T = instance.num_states, instance.num_actions, instance.horizon
-    if policy.shape != (T, n, m):
-        raise ValueError("policy must have shape (T, n, m)")
+    if policy.shape[-3:] != (T, n, m) or policy.ndim not in (3, 4):
+        raise ValueError("policy must have shape (T, n, m) or (B, T, n, m)")
     mu = (
         initial.weights
         if isinstance(initial, DiscreteDistribution)
@@ -111,11 +112,14 @@ def evaluate_policy(instance, policy, initial):
     if mu.shape != (n,):
         raise ValueError("initial must be a distribution over the n states")
     lam, q = instance.lam, instance.q
-    total = 0.0
+    batch = policy.reshape(-1, T, n, m)
+    mu = np.broadcast_to(mu, (len(batch), n))
+    total = np.zeros(len(batch))
     for k in range(T):
-        expected = np.sum(policy[k] * instance.cost_at(k), axis=1)
-        total += float(mu @ (expected - lam * deformed_entropy(policy[k], q)))
+        pk = batch[:, k]
+        expected = np.sum(pk * instance.cost_at(k), axis=2)
+        total += np.sum(mu * (expected - lam * deformed_entropy(pk, q)), axis=1)
         # joint over (x, u) pushed through the kernel
-        mu = np.einsum("x,xu,xuy->y", mu, policy[k], instance.kernel)
-    total += float(mu @ instance.terminal_cost)
-    return total
+        mu = np.einsum("bx,bxu,xuy->by", mu, pk, instance.kernel)
+    total += mu @ instance.terminal_cost
+    return float(total[0]) if policy.ndim == 3 else total

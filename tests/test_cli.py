@@ -64,6 +64,66 @@ class TestValidate:
             assert run(["validate", str(bad)]) == 1
             assert capsys.readouterr().err == f"error: invalid instance at {message}\n"
 
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (True, "$.stage_cost[1][2]: True is not valid under any of the given schemas"),
+            ("x", "$.stage_cost[1][2]: 'x' is not valid under any of the given schemas"),
+        ],
+    )
+    def test_stage_cost_leaf_must_be_a_number(self, tmp_path, capsys, cell, message):
+        doc = json.load(open(instance_path("troc_small.json")))
+        doc["stage_cost"][1][2] = cell
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run(["validate", str(bad)]) == 1
+        assert capsys.readouterr().err == f"error: invalid instance at {message}\n"
+
+    def test_time_varying_stage_cost_leaf_must_be_a_number(self, tmp_path, capsys):
+        doc = json.load(open(instance_path("troc_small.json")))
+        doc["stage_cost"] = [[list(row) for row in doc["stage_cost"]] for _ in range(doc["horizon"])]
+        path = tmp_path / "varying.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", str(path)]) == 0
+        doc["stage_cost"][3][1][2] = False
+        path.write_text(json.dumps(doc))
+        assert run(["validate", str(path)]) == 1
+        message = "$.stage_cost[3][1][2]: False is not of type 'number'"
+        assert capsys.readouterr().err == f"error: invalid instance at {message}\n"
+
+
+class TestBadNumbers:
+    """Unusable command-line numbers exit 1 with one error line, never a traceback."""
+
+    @pytest.mark.parametrize("grid", ["abc", "0.1:0.2:-1", "0.1:0.2:0", "0.1:0.2", "0.1,,0.2"])
+    def test_sweep_rejects_grid(self, tmp_path, capsys, grid):
+        args = ["sweep", instance_path("qkl_ring4.json"), "--grid", grid, "--out", str(tmp_path)]
+        assert run(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --grid") and err.count("\n") == 1
+        assert not os.path.exists(tmp_path / "sweep.csv")
+
+    @pytest.mark.parametrize(
+        "name, flag, value",
+        [
+            ("qkl_ring4.json", "--steps", "-1"),
+            ("qlqr_scalar.json", "--steps", "-1"),
+            ("qkl_ring4.json", "--trajectories", "-2"),
+            ("qlqr_scalar.json", "--trajectories", "-2"),
+        ],
+    )
+    def test_simulate_rejects_negative_counts(self, tmp_path, capsys, name, flag, value):
+        out = str(tmp_path)
+        assert run(["solve", instance_path(name), "--out", out]) == 0
+        solution = os.path.join(out, "solution.json")
+        assert run(["simulate", instance_path(name), solution, "--out", out, flag, value]) == 1
+        assert capsys.readouterr().err.endswith(f"error: {flag} must be non-negative, got {value}\n")
+
+    def test_sweep_of_unreadable_instance_exits_1(self, tmp_path, capsys):
+        args = ["sweep", str(tmp_path / "missing.json"), "--grid", "0.2,0.4", "--out", str(tmp_path)]
+        assert run(args) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read instance file")
+
 
 class TestSolve:
     def test_qkl_outputs(self, tmp_path):

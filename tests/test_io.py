@@ -5,14 +5,19 @@ import io
 import json
 import os
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qoc import io as qio
 from qoc.io import (
     InstanceError,
     load_instance,
     solution_from_dict,
     solution_to_dict,
+    validate_instance_dict,
     write_csv,
     write_json,
 )
@@ -110,3 +115,125 @@ def test_write_csv_zero_rows_writes_the_header_only(tmp_path):
     path = tmp_path / "sweep.csv"
     write_csv(path, ["parameter", "cost"], np.empty((0, 2)))
     assert path.read_text() == "parameter,cost\n"
+
+
+def test_write_json_matches_json_dumps(tmp_path):
+    rng = np.random.default_rng(6)
+    spread = rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60)
+    payload = {
+        "kind": "troc",
+        "edges": np.array(EDGE_VALUES + [3.0, -7.0, 2.0**60]),
+        "spread": spread.reshape(3, 4, 5),
+        "four_d": rng.standard_normal((2, 3, 1, 2)),
+        "cube": np.array([[[0.1 + 0.2]]]),
+        "none": np.zeros(0),
+        "no_rows": np.zeros((0, 3)),
+        "no_columns": np.zeros((3, 0)),
+        "counts": np.arange(4),
+        "non_finite": np.array([[1.5, np.nan], [np.inf, -np.inf]]),
+        "scalar": np.float64(1e-300),
+        "nested": {"b": np.array([[-0.0, 5e-324]]), "a": "line\nbreak", "c": [np.ones(2)]},
+        "empty": {},
+        "seed": None,
+    }
+    path = tmp_path / "payload.json"
+    write_json(path, payload)
+    expected = json.dumps(qio._jsonable(payload), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == expected.encode()
+
+
+# --------------------------------------------------- the validation fast path
+
+def reference_verdict(doc):
+    """The full jsonschema walk's verdict: None or the InstanceError text."""
+    error = jsonschema.exceptions.best_match(qio._validator().iter_errors(doc))
+    return None if error is None else f"invalid instance at {error.json_path}: {error.message}"
+
+
+BAD_LEAVES = [True, False, "1.5", None, {}, {"a": 1.0}, [], [0.5], -1.0, -1e-300, -0.0, -3,
+              float("nan"), float("inf"), float("-inf"), 2**64, -(2**64), 10**309, 10**400]
+
+
+def _matrix(draw, shape, cells):
+    if len(shape) == 1:
+        return [draw(cells) for _ in range(shape[0])]
+    return [_matrix(draw, shape[1:], cells) for _ in range(shape[0])]
+
+
+@st.composite
+def instance_documents(draw):
+    """A schema-valid document of a random kind, then a few random edits."""
+    cells = st.one_of(st.floats(0.0, 3.0), st.integers(0, 5))
+    kind = draw(st.sampled_from(["troc", "qkl", "qlqr"]))
+    n, m, horizon = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    doc = {"kind": kind, "q": 0.4, "lambda": 0.7, "horizon": horizon}
+    if kind == "troc":
+        doc["kernel"] = _matrix(draw, (n, m, n), cells)
+        cost_shape = draw(st.sampled_from([(n, m), (horizon, n, m)]))
+        doc["stage_cost"] = _matrix(draw, cost_shape, cells)
+        doc["terminal_cost"] = _matrix(draw, (n,), cells)
+    elif kind == "qkl":
+        doc["passive_matrix"] = _matrix(draw, (n, n), cells)
+        doc["state_cost"] = _matrix(draw, (n,), cells)
+        if draw(st.booleans()):
+            doc["initial"] = _matrix(draw, (n,), cells)
+    else:
+        for key in ("a", "b", "q_cost", "s_cost", "r_cost", "terminal_cost"):
+            doc[key] = draw(cells) if draw(st.booleans()) else _matrix(draw, (n, n), cells)
+        if draw(st.booleans()):
+            doc["initial_state"] = _matrix(draw, (n,), cells)
+    for _ in range(draw(st.integers(0, 2))):
+        arrays = sorted(k for k in doc if isinstance(doc[k], list))
+        key = draw(st.sampled_from(sorted(doc) + 3 * arrays))  # mostly edit the arrays
+        edit = draw(st.sampled_from(["leaf"] * 3 + ["part", "ragged", "wrap", "unwrap", "replace", "drop"]))
+        if edit == "drop":
+            del doc[key]
+            continue
+        if edit == "replace" or not isinstance(doc[key], list) or not doc[key]:
+            doc[key] = draw(st.sampled_from(BAD_LEAVES + ["troc", "qkl", [[[]]]]))
+            continue
+        if edit == "wrap":
+            doc[key] = [doc[key]]
+            continue
+        if edit == "unwrap":
+            doc[key] = doc[key][0]
+            continue
+        parent, index = doc, key  # walk down to a leaf, or otherwise to any element
+        while isinstance(parent[index], list) and parent[index] and (edit == "leaf" or draw(st.booleans())):
+            parent, index = parent[index], draw(st.integers(0, len(parent[index]) - 1))
+        if edit == "ragged" and isinstance(parent[index], list) and parent[index]:
+            parent[index] = parent[index][:-1]
+        else:
+            parent[index] = draw(st.sampled_from(BAD_LEAVES))
+    return doc
+
+
+@settings(derandomize=True, max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(instance_documents())
+def test_validation_agrees_with_the_full_schema_walk(doc):
+    expected = reference_verdict(doc)
+    try:
+        arrays = validate_instance_dict(doc)
+    except InstanceError as exc:
+        assert str(exc) == expected
+        return
+    assert expected is None
+    for name, arr in arrays.items():
+        assert np.array_equal(arr, np.asarray(doc[name], dtype=float), equal_nan=True)
+
+
+def test_valid_documents_are_vouched_without_the_full_walk(monkeypatch):
+    calls = []
+    best_match = jsonschema.exceptions.best_match
+    monkeypatch.setattr(jsonschema.exceptions, "best_match", lambda e: calls.append(1) or best_match(e))
+    vouched = {"troc": {"kernel", "stage_cost", "terminal_cost"},
+               "qkl": {"passive_matrix", "state_cost", "initial"},
+               "qlqr": {"initial_state"}}
+    for name in sorted(os.listdir(INSTANCES)):
+        doc = json.load(open(instance_path(name)))
+        assert set(validate_instance_dict(doc)) == vouched[doc["kind"]] & set(doc)
+    varying = json.load(open(instance_path("troc_small.json")))
+    varying["stage_cost"] = [varying["stage_cost"]] * varying["horizon"]
+    assert validate_instance_dict(varying)["stage_cost"].shape == (4, 3, 3)
+    assert calls == []

@@ -87,6 +87,21 @@ def test_evaluate_policy_matches_loop(q):
     assert abs(evaluate_policy(inst, sol.policy, mu) - expected) <= TOL
 
 
+@pytest.mark.parametrize("q", [0.0, 0.5, 0.9])
+def test_batched_evaluate_policy_matches_loop(q):
+    rng = np.random.default_rng(5)
+    inst = troc_instance(rng, q)
+    shape = (7, inst.horizon, inst.num_states, inst.num_actions)
+    policies = rng.random(shape) * (rng.random(shape) < 0.6)  # sparse rows: zero terms
+    policies[..., 0] += 0.1
+    policies /= policies.sum(axis=3, keepdims=True)
+    mu = rng.dirichlet(np.ones(inst.num_states))
+    costs = evaluate_policy(inst, policies, mu)
+    assert costs.shape == (7,)
+    for b in range(7):
+        assert abs(costs[b] - loop_evaluate_policy(inst, policies[b], mu)) <= TOL
+
+
 @pytest.mark.parametrize("q", [0.1, 0.5, 0.9])
 def test_evaluate_cost_matches_loop(q):
     inst = qkl_instance(np.random.default_rng(3), q)
