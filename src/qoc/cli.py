@@ -7,7 +7,6 @@ for a fixed seed.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -15,7 +14,6 @@ import numpy as np
 
 from . import io as qio
 from . import qkl, qlqr, troc
-from .deformed import deformed_entropy
 
 EXIT_BAD_INSTANCE = 1
 EXIT_INFEASIBLE = 2
@@ -25,12 +23,24 @@ class UsageError(Exception):
     """A command-line value the command cannot use; exits like malformed input."""
 
 
-# kind -> (solver, solution field also written as <field>.csv).  The lambdas
-# look the solver up at call time, so a rebound module attribute is honoured.
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors exit 1, like malformed input; 2 means infeasible."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_BAD_INSTANCE, f"{self.prog}: error: {message}\n")
+
+
+# kind -> (solver, solution field also written as <field>.csv, sweep metrics).
+# The lambdas look each function up at call time, so a rebound module
+# attribute is honoured.
 SOLVERS = {
-    "qkl": (lambda instance: qkl.solve_qkl(instance), "controlled_matrices"),
-    "troc": (lambda instance: troc.solve_troc(instance), "policy"),
-    "qlqr": (lambda instance: qlqr.solve_qlqr(instance), "gains"),
+    "qkl": (lambda instance: qkl.solve_qkl(instance), "controlled_matrices",
+            lambda instance, sol: qkl.sweep_metrics(instance, sol)),
+    "troc": (lambda instance: troc.solve_troc(instance), "policy",
+             lambda instance, sol: troc.sweep_metrics(instance, sol)),
+    "qlqr": (lambda instance: qlqr.solve_qlqr(instance), "gains",
+             lambda instance, sol: qlqr.sweep_metrics(instance, sol, instance.horizon)),
 }
 
 
@@ -41,7 +51,7 @@ def _out_dir(args):
 
 
 def _overrides(args):
-    return {"q": args.q, "lambda": getattr(args, "lam", None), "horizon": args.horizon}
+    return {"q": args.q, "lambda": args.lam, "horizon": args.horizon}
 
 
 def _bundle(args, instance_path, files, extra=None):
@@ -49,7 +59,7 @@ def _bundle(args, instance_path, files, extra=None):
         "instance": os.path.abspath(instance_path),
         "instance_sha256": qio.file_checksum(instance_path),
         "overrides": {k: v for k, v in _overrides(args).items() if v is not None},
-        "seed": getattr(args, "seed", None),
+        "seed": args.seed,
         "manifest": [
             {"path": os.path.abspath(f), "sha256": qio.file_checksum(f)} for f in files
         ],
@@ -72,7 +82,7 @@ def _write_stage_matrices(path, stack):
 
 def cmd_solve(args):
     kind, instance = qio.load_instance(args.instance, _overrides(args))
-    solve, csv_field = SOLVERS[kind]
+    solve, csv_field, _ = SOLVERS[kind]
     try:
         sol = solve(instance)
     except (ValueError, RuntimeError) as exc:
@@ -94,37 +104,23 @@ def _grid_values(spec):
     try:
         if ":" in spec:
             start, stop, count = spec.split(":")
-            grid = np.linspace(float(start), float(stop), int(count))
+            with np.errstate(invalid="ignore", over="ignore"):  # non-finite ends, checked below
+                grid = np.linspace(float(start), float(stop), int(count))
         else:
             grid = np.asarray([float(v) for v in spec.split(",")])
     except ValueError:
         raise UsageError(f"--grid {spec!r} is not a comma list or start:stop:count") from None
     if grid.size == 0:
         raise UsageError(f"--grid {spec!r} has no points")
+    if not np.all(np.isfinite(grid)):
+        raise UsageError(f"--grid {spec!r} has a point that is not finite")
     return grid
-
-
-def _sweep_point(kind, instance):
-    """Metric row (cost, entropy, support_radius, sparsity_count) for one solve."""
-    sol = SOLVERS[kind][0](instance)
-    if kind == "qkl":
-        p = sol.controlled_matrices[0]
-        cost = qkl.evaluate_cost(instance, sol.controlled_matrices)
-        ent = float(instance.initial @ deformed_entropy(p.T, instance.q))
-        sparsity = int(np.sum((p == 0) & (instance.passive_matrix > 0)))
-        return cost, ent, 0.0, sparsity
-    if kind == "troc":
-        init = np.full(instance.num_states, 1.0 / instance.num_states)
-        cost = float(init @ sol.value[0])
-        ent = float(np.mean(deformed_entropy(sol.policy[0], instance.q)))
-        return cost, ent, 0.0, int(np.sum(sol.policy == 0))
-    metrics = qlqr.sweep_metrics(instance, sol, instance.horizon)
-    return metrics["cost"], metrics["entropy"], metrics["support_radius"], 0
 
 
 def cmd_sweep(args):
     grid = _grid_values(args.grid)
     doc = qio.read_instance(args.instance)
+    header = ["parameter", "cost", "entropy", "support_radius", "sparsity_count"]
     rows = []
     failures = 0
     for value in grid:
@@ -132,14 +128,14 @@ def cmd_sweep(args):
         overrides["q" if args.parameter == "q" else "lambda"] = float(value)
         try:
             kind, instance = qio.build_instance(doc, overrides)
-            cost, ent, radius, sparsity = _sweep_point(kind, instance)
-            rows.append([float(value), cost, ent, radius, sparsity])
+            solve, _, metrics = SOLVERS[kind]
+            point = metrics(instance, solve(instance))
+            rows.append([float(value)] + [point.get(name, 0) for name in header[1:]])
         except (qio.InstanceError, ValueError, RuntimeError) as exc:
             failures += 1
             print(f"sweep point {value} failed: {exc}", file=sys.stderr)
     out = _out_dir(args)
     csv_path = os.path.join(out, "sweep.csv")
-    header = ["parameter", "cost", "entropy", "support_radius", "sparsity_count"]
     qio.write_csv(csv_path, header, np.reshape(rows, (-1, len(header))))
     bundle_path = os.path.join(out, "result_bundle.json")
     qio.write_json(
@@ -150,23 +146,12 @@ def cmd_sweep(args):
     return 0 if failures == 0 else EXIT_INFEASIBLE
 
 
-def _load_solution(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise qio.InstanceError(f"cannot read solution file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise qio.InstanceError("solution file must contain a JSON object")
-    return doc
-
-
 def cmd_simulate(args):
     for name in ("steps", "trajectories"):
         if getattr(args, name) < 0:
             raise UsageError(f"--{name} must be non-negative, got {getattr(args, name)}")
     kind, instance = qio.load_instance(args.instance, _overrides(args))
-    doc = _load_solution(args.solution)
+    doc = qio.read_instance(args.solution, "solution")
     if doc.get("kind") != kind:
         print("instance/solution kind mismatch", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -231,42 +216,40 @@ def cmd_validate(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="qoc", description="entropy-regularized control solvers"
-    )
+    parser = _Parser(prog="qoc", description="entropy-regularized control solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=False):
+    def common(p, writes=True):
         p.add_argument("instance", help="instance JSON file")
         p.add_argument("--q", type=float, default=None, help="override deformation parameter")
         p.add_argument("--lambda", dest="lam", type=float, default=None,
                        help="override regularization weight")
         p.add_argument("--horizon", type=int, default=None, help="override horizon")
-        p.add_argument("--out", default=None,
-                       help=f"output directory (default: ${qio.OUTPUT_DIR_ENV} or cwd)")
-        if seed:
+        if writes:
+            p.add_argument("--out", default=None,
+                           help=f"output directory (default: ${qio.OUTPUT_DIR_ENV} or cwd)")
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="solve an instance and emit the solution")
-    common(p, seed=True)
+    common(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="solve across a parameter grid")
-    common(p, seed=True)
+    common(p)
     p.add_argument("--parameter", choices=["q", "lambda"], default="q")
     p.add_argument("--grid", required=True,
                    help="comma-separated values or start:stop:count")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("simulate", help="simulate a solved instance")
-    common(p, seed=True)
+    common(p)
     p.add_argument("solution", help="solution JSON emitted by solve")
     p.add_argument("--trajectories", type=int, default=100)
     p.add_argument("--steps", type=int, default=30)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("validate", help="schema-check an instance file")
-    common(p)
+    common(p, writes=False)
     p.set_defaults(func=cmd_validate)
     return parser
 

@@ -214,18 +214,3 @@ def entmax_quadratic(r_matrix, mean, lam, q):
     sigma = np.linalg.inv(sigma_inv)
     sigma = 0.5 * (sigma + sigma.T)
     return QuadraticEntmaxResult(QGaussian(mean, sigma, q), eta)
-
-
-def sparsemax(scores):
-    """Sorted-threshold projection onto the simplex (cross-check for q = 0).
-
-    Returns the Euclidean projection of ``scores`` onto the probability
-    simplex: p_i = [scores_i - tau]_+ with tau fixed by normalization.
-    """
-    z = np.sort(np.asarray(scores, dtype=float))[::-1]
-    css = np.cumsum(z)
-    ks = np.arange(1, z.size + 1)
-    valid = 1.0 + ks * z > css
-    k = ks[valid][-1]
-    tau = (css[k - 1] - 1.0) / k
-    return np.maximum(np.asarray(scores, dtype=float) - tau, 0.0)

@@ -128,15 +128,15 @@ def validate_instance_dict(doc):
 INSTANCE_TYPES = {"qkl": QklInstance, "troc": FiniteTrocInstance, "qlqr": QlqrInstance}
 
 
-def read_instance(path):
-    """The parsed instance document at ``path``; raises InstanceError."""
+def read_instance(path, what="instance"):
+    """The JSON object at ``path``; raises InstanceError calling the file a ``what`` file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
+        raise InstanceError(f"cannot read {what} file {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InstanceError("instance file must contain a JSON object")
+        raise InstanceError(f"{what} file must contain a JSON object")
     return doc
 
 

@@ -14,6 +14,7 @@ __all__ = [
     "GridSpec",
     "simplex_grid",
     "brute_force_entmax",
+    "sparsemax",
     "brute_force_policy_search",
     "quadrature_normalization",
     "quadrature_moments",
@@ -76,6 +77,22 @@ def brute_force_entmax(costs, lam, q, grid=GridSpec()):
     objective = points @ costs - lam * _grid_entropy(points, q)
     best = int(np.argmin(objective))
     return points[best], float(objective[best])
+
+
+def sparsemax(scores):
+    """Sorted-threshold projection onto the simplex (cross-check for q = 0).
+
+    Returns the Euclidean projection of ``scores`` onto the probability
+    simplex: p_i = [scores_i - tau]_+ with tau fixed by normalization
+    (Martins & Astudillo 2016).
+    """
+    z = np.sort(np.asarray(scores, dtype=float))[::-1]
+    css = np.cumsum(z)
+    ks = np.arange(1, z.size + 1)
+    valid = 1.0 + ks * z > css
+    k = ks[valid][-1]
+    tau = (css[k - 1] - 1.0) / k
+    return np.maximum(np.asarray(scores, dtype=float) - tau, 0.0)
 
 
 def brute_force_policy_search(instance, initial, evaluate, resolution=0.2):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import DeformationParameter, _as_q, qkl_divergence
+from .deformed import DeformationParameter, _as_q, deformed_entropy, qkl_divergence
 # entmax_weighted is no longer called here, but bench/spans.py wraps qoc.qkl.entmax_weighted
 from .entmax import _check_lam, entmax_rows, entmax_weighted
 
@@ -25,6 +25,7 @@ __all__ = [
     "solve_qkl_stationary",
     "relative_values",
     "evaluate_cost",
+    "sweep_metrics",
     "rollout",
 ]
 
@@ -153,16 +154,6 @@ def relative_values(value, normalizers, reference_state=0, lam=1.0):
     return normalizers[reference_state] - value / lam
 
 
-def solution_relative_values(solution, instance, stage, reference_state=0):
-    """Relative values for one stage of a full-horizon solution."""
-    return relative_values(
-        solution.values[stage + 1],
-        solution.normalizers[stage],
-        reference_state,
-        instance.lam,
-    )
-
-
 def evaluate_cost(instance, matrices):
     """Forward evaluation of the control objective for given transition matrices.
 
@@ -184,6 +175,16 @@ def evaluate_cost(instance, matrices):
         total += float(l @ phi) + instance.lam * float(phi[reached] @ div)
         phi = pk @ phi
     return total + float(l @ phi)
+
+
+def sweep_metrics(instance, solution):
+    """Sweep point: forward cost, stage-0 entropy and the zeros inside the passive support."""
+    p = solution.controlled_matrices[0]
+    return {
+        "cost": evaluate_cost(instance, solution.controlled_matrices),
+        "entropy": float(instance.initial @ deformed_entropy(p.T, instance.q)),
+        "sparsity_count": int(np.sum((p == 0) & (instance.passive_matrix > 0))),
+    }
 
 
 def rollout(instance, matrices, steps, seed, initial_state=None):

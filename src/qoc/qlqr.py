@@ -198,32 +198,22 @@ def simulate_closed_loop(instance, solution, num_trajectories, steps, seed):
     return states, inputs
 
 
-def support_envelope(instance, solution, steps, initial_set_radius=0.0):
+def support_envelope(instance, solution, steps):
     """Outer bounds on the reachable state set, stage by stage.
 
-    Scalar systems use exact interval arithmetic.  For n >= 2 the set is
-    tracked as an ellipsoid, combining the mapped set with the noise
-    ellipsoid via the minimum-trace outer approximation of the Minkowski
-    sum.  Returns (lower, upper) arrays of shape (steps+1, n).
+    The set starts at the initial state and is tracked as an ellipsoid,
+    combining the mapped set with the noise ellipsoid via the
+    minimum-trace outer approximation of the Minkowski sum.  For n = 1,
+    intervals of squared half-widths m1 and m2 sum to (sqrt(m1) + sqrt(m2))^2,
+    so the bounds are the exact interval recursion.  Returns (lower, upper)
+    arrays of shape (steps+1, n).
     """
     n = instance.state_dim
     lower = np.zeros((steps + 1, n))
     upper = np.zeros((steps + 1, n))
-    if n == 1:
-        center = float(instance.initial_state[0])
-        radius = float(initial_set_radius)
-        lower[0], upper[0] = center - radius, center + radius
-        for k in range(steps):
-            f = float(instance.a[0, 0] + instance.b[0, 0] * _stage(solution.gains, k)[0, 0])
-            beta = float(_stage(solution.support_radii, k)[0])
-            center = f * center
-            radius = abs(f) * radius + abs(instance.b[0, 0]) * beta
-            lower[k + 1], upper[k + 1] = center - radius, center + radius
-        return lower, upper
     center = instance.initial_state.copy()
-    shape = np.eye(n) * initial_set_radius**2
-    lower[0] = center - np.sqrt(np.diag(shape))
-    upper[0] = center + np.sqrt(np.diag(shape))
+    shape = np.zeros((n, n))
+    lower[0] = upper[0] = center
     thresh = _support_threshold(instance.input_dim, instance.q)
     for k in range(steps):
         f = instance.a + instance.b @ _stage(solution.gains, k)

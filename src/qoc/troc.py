@@ -19,7 +19,7 @@ from .deformed import DeformationParameter, DiscreteDistribution, _as_q, deforme
 # entmax_discrete is no longer called here, but bench/spans.py wraps qoc.troc.entmax_discrete
 from .entmax import _check_lam, entmax_discrete, entmax_rows
 
-__all__ = ["FiniteTrocInstance", "TrocSolution", "solve_troc", "evaluate_policy"]
+__all__ = ["FiniteTrocInstance", "TrocSolution", "solve_troc", "evaluate_policy", "sweep_metrics"]
 
 
 @dataclass(frozen=True)
@@ -123,3 +123,13 @@ def evaluate_policy(instance, policy, initial):
         mu = np.einsum("bx,bxu,xuy->by", mu, pk, instance.kernel)
     total += mu @ instance.terminal_cost
     return float(total[0]) if policy.ndim == 3 else total
+
+
+def sweep_metrics(instance, solution):
+    """Sweep point: mean V(0) and stage-0 policy entropy over states, zero policy entries."""
+    n = instance.num_states
+    return {
+        "cost": float(np.full(n, 1.0 / n) @ solution.value[0]),
+        "entropy": float(np.mean(deformed_entropy(solution.policy[0], instance.q))),
+        "sparsity_count": int(np.sum(solution.policy == 0)),
+    }

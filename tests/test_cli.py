@@ -119,10 +119,44 @@ class TestBadNumbers:
         assert run(["simulate", instance_path(name), solution, "--out", out, flag, value]) == 1
         assert capsys.readouterr().err.endswith(f"error: {flag} must be non-negative, got {value}\n")
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "0.2,nan", "0:inf:3"])
+    def test_sweep_rejects_non_finite_grid(self, tmp_path, capsys, grid):
+        args = ["sweep", instance_path("qkl_ring4.json"), "--grid", grid, "--out", str(tmp_path)]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"error: --grid {grid!r} has a point that is not finite\n"
+        assert not os.path.exists(tmp_path / "sweep.csv")
+
     def test_sweep_of_unreadable_instance_exits_1(self, tmp_path, capsys):
         args = ["sweep", str(tmp_path / "missing.json"), "--grid", "0.2,0.4", "--out", str(tmp_path)]
         assert run(args) == 1
         assert capsys.readouterr().err.startswith("error: cannot read instance file")
+
+
+class TestUsageErrors:
+    """argparse's own errors exit 1, like malformed input; 2 is kept for infeasibility."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "I", "S", "--steps", "abc"], "argument --steps: invalid int value"),
+            (["solve"], "the following arguments are required: instance"),
+            (["solve", "I", "--no-such-option"], "unrecognized arguments: --no-such-option"),
+            (["validate", "I", "--out", "D"], "unrecognized arguments: --out D"),
+        ],
+        ids=["non-numeric-steps", "missing-instance", "unknown-option", "validate-out"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qoc") and f"error: {message}" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["solve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: qoc solve")
 
 
 class TestSolve:

@@ -7,9 +7,8 @@ from qoc.entmax import (
     entmax_discrete,
     entmax_quadratic,
     entmax_weighted,
-    sparsemax,
 )
-from qoc.oracle import GridSpec, brute_force_entmax, quadrature_normalization
+from qoc.oracle import GridSpec, brute_force_entmax, quadrature_normalization, sparsemax
 
 
 def softmax(scores):

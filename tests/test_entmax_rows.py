@@ -13,9 +13,8 @@ from qoc.entmax import (
     entmax_discrete,
     entmax_rows,
     entmax_weighted,
-    sparsemax,
 )
-from qoc.oracle import GridSpec, brute_force_entmax
+from qoc.oracle import GridSpec, brute_force_entmax, sparsemax
 
 LAMS = st.floats(0.1, 10.0)
 QS = st.floats(0.0, 0.95)

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qoc
 from qoc.oracle import (
     GridSpec,
     brute_force_entmax,
@@ -67,3 +71,36 @@ class TestQuadrature:
             assert _raw_density(x, g.mu, sigma_inv, zq, scale, g.q) == pytest.approx(
                 g.density([x]), rel=1e-12
             )
+
+
+def qoc_imports(path):
+    """The qoc modules a source file of the package imports (``qoc`` for the package)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level or node.module.partition(".")[0] == "qoc"
+        ):
+            module = node.module if node.level else node.module.partition(".")[2] or None
+            if module:
+                names.add(module.partition(".")[0])
+            else:
+                names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(
+                alias.name.partition(".")[2] or "qoc"
+                for alias in node.names
+                if alias.name.partition(".")[0] == "qoc"
+            )
+    return names
+
+
+def test_oracle_is_independent_of_the_solvers():
+    """oracle.py imports nothing from qoc, and nothing in qoc imports oracle."""
+    sources = sorted(Path(qoc.__file__).parent.glob("*.py"))
+    assert "oracle.py" in [path.name for path in sources]
+    for path in sources:
+        imports = qoc_imports(path)
+        if path.name == "oracle.py":
+            assert imports == set()
+        else:
+            assert "oracle" not in imports, path.name

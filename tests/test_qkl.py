@@ -6,7 +6,6 @@ from qoc.qkl import (
     evaluate_cost,
     relative_values,
     rollout,
-    solution_relative_values,
     solve_qkl,
     solve_qkl_stationary,
 )
@@ -85,7 +84,7 @@ class TestSolve:
         p_star, normalizers, value = solve_qkl_stationary(inst)
         assert np.max(np.abs(p_star - sol.controlled_matrices[0])) < 1e-8
         z_stat = relative_values(value, normalizers)
-        z_full = solution_relative_values(sol, inst, 0)
+        z_full = relative_values(sol.values[1], sol.normalizers[0], 0, inst.lam)
         assert np.max(np.abs(z_stat - z_full)) < 1e-8
 
 

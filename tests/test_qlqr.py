@@ -202,6 +202,47 @@ class TestSimulation:
         assert width[-1] / 2.0 == pytest.approx(beta / (1.0 - abs(f)), abs=1e-9)
 
 
+def interval_envelope(inst, sol, steps):
+    """Scalar reference: centre f c and radius |f| r + |b| beta from the point x0."""
+    a, b = inst.a[0, 0], inst.b[0, 0]
+    center, radius = inst.initial_state[0], 0.0
+    bounds = [(center, center)]
+    for k in range(steps):
+        stage = min(k, len(sol.gains) - 1)
+        f = a + b * sol.gains[stage][0, 0]
+        center = f * center
+        radius = abs(f) * radius + abs(b) * sol.support_radii[stage][0]
+        bounds.append((center - radius, center + radius))
+    return np.array(bounds)
+
+
+class TestScalarEnvelope:
+    def test_matches_interval_recursion(self):
+        rng = np.random.default_rng(12)
+        for trial in range(60):
+            inst = QlqrInstance(
+                a=rng.uniform(-1.5, 1.5),
+                b=rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 2.0),
+                q_cost=rng.uniform(0.1, 2.0),
+                s_cost=rng.uniform(-0.2, 0.2),
+                r_cost=rng.uniform(0.5, 2.0),
+                terminal_cost=rng.uniform(0.1, 2.0),
+                horizon=31,
+                lam=rng.uniform(0.01, 1.0),
+                q=rng.uniform(0.0, 0.95),
+                initial_state=[0.0 if trial == 0 else rng.normal(0.0, 3.0)],
+            )
+            sols = [solve_qlqr(inst)]
+            if trial % 10 == 0:
+                sols.append(solve_qlqr_stationary(inst))
+            for sol in sols:
+                lower, upper = support_envelope(inst, sol, 31)
+                ref = interval_envelope(inst, sol, 31)
+                scale = np.max(np.abs(ref), axis=1)
+                assert np.all(np.abs(lower[:, 0] - ref[:, 0]) <= 1e-12 * scale)
+                assert np.all(np.abs(upper[:, 0] - ref[:, 1]) <= 1e-12 * scale)
+
+
 class TestMetrics:
     def test_policy_entropy_matches_discretization(self):
         sigma, q = 0.03, 0.3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qoc.cli import _sweep_point
+from qoc import qkl, troc
 from qoc.deformed import deformed_entropy, qkl_divergence
 from qoc.qkl import QklInstance, evaluate_cost, solve_qkl
 from qoc.troc import FiniteTrocInstance, evaluate_policy, solve_troc
@@ -115,12 +115,13 @@ def test_evaluate_cost_matches_loop(q):
 def test_sweep_entropies_match_loop():
     rng = np.random.default_rng(4)
     inst = qkl_instance(rng, 0.4)
-    p = solve_qkl(inst).controlled_matrices[0]
+    sol = solve_qkl(inst)
+    p = sol.controlled_matrices[0]
     expected = sum(
         inst.initial[j] * deformed_entropy(p[:, j], inst.q) for j in range(inst.num_states)
     )
-    assert abs(_sweep_point("qkl", inst)[1] - expected) <= TOL
+    assert abs(qkl.sweep_metrics(inst, sol)["entropy"] - expected) <= TOL
     inst = troc_instance(rng, 0.4)
-    policy = solve_troc(inst).policy[0]
-    expected = np.mean([deformed_entropy(row, inst.q) for row in policy])
-    assert abs(_sweep_point("troc", inst)[1] - expected) <= TOL
+    sol = solve_troc(inst)
+    expected = np.mean([deformed_entropy(row, inst.q) for row in sol.policy[0]])
+    assert abs(troc.sweep_metrics(inst, sol)["entropy"] - expected) <= TOL
