@@ -71,9 +71,6 @@ def _bundle(args, instance_path, files, extra=None):
 
 def _write_stage_matrices(path, stack):
     """One CSV with (stage, row, columns...) per entry of a stage-indexed stack."""
-    stack = np.asarray(stack)
-    if stack.ndim == 2:
-        stack = stack[:, :, None]
     stages, rows, cols = stack.shape
     index = np.indices((stages, rows)).reshape(2, -1).T
     header = ["stage", "row"] + [f"c{j}" for j in range(cols)]
@@ -134,6 +131,8 @@ def cmd_sweep(args):
         except (qio.InstanceError, ValueError, RuntimeError) as exc:
             failures += 1
             print(f"sweep point {value} failed: {exc}", file=sys.stderr)
+    if not rows:  # a document at fault fails every point: say so as malformed input
+        qio.build_instance(doc, _overrides(args))
     out = _out_dir(args)
     csv_path = os.path.join(out, "sweep.csv")
     qio.write_csv(csv_path, header, np.reshape(rows, (-1, len(header))))
@@ -190,11 +189,8 @@ def cmd_simulate(args):
             qio.write_csv(traj_path, header, np.hstack([table[:split], inputs]), table[split:])
             files.append(traj_path)
     else:
-        paths = [
-            qkl.rollout(instance, sol.controlled_matrices, args.steps, (args.seed, t))
-            for t in range(args.trajectories)
-        ]
-        paths = np.reshape(paths, (args.trajectories, args.steps + 1))
+        seeds = [(args.seed, t) for t in range(args.trajectories)]
+        paths = qkl.rollout(instance, sol.controlled_matrices, args.steps, seeds)
         trajectory, stage = np.indices(paths.shape)
         traj_path = os.path.join(out, "trajectories.csv")
         qio.write_csv(

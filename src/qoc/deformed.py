@@ -33,6 +33,15 @@ def _as_q(q):
     return q if isinstance(q, DeformationParameter) else DeformationParameter(q)
 
 
+def _check_distributions(p, axis, what):
+    """Raise ValueError unless ``p`` is non-negative and sums to 1 along ``axis``.
+
+    Both tests are written so that a NaN fails them.
+    """
+    if not (np.all(p >= 0) and np.all(np.abs(np.sum(p, axis=axis) - 1.0) <= PROB_SUM_TOL)):
+        raise ValueError(f"{what} must be non-negative and sum to 1")
+
+
 class DiscreteDistribution:
     """Probability vector on a finite set.
 
@@ -45,10 +54,7 @@ class DiscreteDistribution:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ValueError("weights must be a non-empty 1-d vector")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
-        if abs(w.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"weights sum to {w.sum()}, not 1")
+        _check_distributions(w, 0, "weights")
         self.weights = w
         self.weights.flags.writeable = False
 
@@ -119,8 +125,7 @@ def deformed_entropy(phi, q):
     A 2-d ``phi`` gives one entropy per row.
     """
     q = _as_q(q)
-    w = phi.weights if isinstance(phi, DiscreteDistribution) else np.asarray(phi, float)
-    return -(_plogq(w, q) - 1.0) / (2.0 - q)
+    return -(_plogq(phi, q) - 1.0) / (2.0 - q)
 
 
 def tsallis_entropy(phi, q):
@@ -134,7 +139,7 @@ def tsallis_entropy(phi, q):
         raise ValueError("tsallis_entropy requires q > 0")
     if q >= 2:
         raise ValueError("tsallis_entropy requires q < 2")
-    w = phi.weights if isinstance(phi, DiscreteDistribution) else np.asarray(phi, float)
+    w = np.asarray(phi, dtype=float)
     pos = w > 0
     wp = w[pos]
     if abs(q - 1.0) < 1e-12:
@@ -156,8 +161,7 @@ def qkl_divergence(phi, psi, q):
     row.
     """
     q = _as_q(q)
-    p = phi.weights if isinstance(phi, DiscreteDistribution) else np.asarray(phi, float)
-    s = psi.weights if isinstance(psi, DiscreteDistribution) else np.asarray(psi, float)
+    p, s = np.asarray(phi, dtype=float), np.asarray(psi, dtype=float)
     if p.shape != s.shape:
         raise ValueError("distributions must have the same length")
     return _plogq(p, q, s) / (2.0 - q)

@@ -23,7 +23,7 @@ from .deformed import (
     log_q,
     qkl_divergence,
 )
-from .qgaussian import QGaussian, _deformation_scale
+from .qgaussian import QGaussian, _check_spd, _deformation_scale
 
 __all__ = [
     "EntmaxResult",
@@ -54,7 +54,7 @@ def _check_lam(lam):
         raise ValueError(f"lam must be positive and finite, got {lam}")
 
 
-def entmax_rows(costs, weights, lam, q, *, _bracket=None):
+def entmax_rows(costs, weights, lam, q):
     """Ent-max of every row of ``costs`` at once; returns (probs, C, objective).
 
     Row r solves phi_i = w_i * exp_q(-costs_i / lam + C_r) with sum_i phi_i = 1.
@@ -94,7 +94,6 @@ def entmax_rows(costs, weights, lam, q, *, _bracket=None):
             raise ValueError("costs must be finite on the support of weights")
     masked = np.where(sup, costs, np.inf)
     c_min = masked.min(axis=1)
-    s_min = c_min / lam
     diff = masked - c_min[:, None]  # +inf off the support, so exp_q gives 0 there
     gap = diff / lam  # s - s*, without rounding s = costs / lam first
     lo = log_q(1.0 / np.sum(w, axis=1), q)
@@ -107,10 +106,6 @@ def entmax_rows(costs, weights, lam, q, *, _bracket=None):
     def g(c):
         return np.sum(w * exp_q(c[:, None] - gap, q), axis=1) - 1.0
 
-    if _bracket is not None:  # _normalization_root's override, kept inside the closed form
-        lo, hi = (np.clip(np.asarray(b, dtype=float) - s_min, lo, hi) for b in _bracket)
-        if np.any(g(lo) > 0.0):
-            raise ValueError("bracket lower end does not undershoot")
     active = np.ones(costs.shape[0], dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -136,14 +131,7 @@ def entmax_rows(costs, weights, lam, q, *, _bracket=None):
         objective = expected - lam * deformed_entropy(probs, q)
     else:
         objective = expected + lam * qkl_divergence(probs, w, q)
-    return probs, c + s_min, objective
-
-
-def _normalization_root(costs, weights, lam, q, bracket=None):
-    """C solving sum_i w_i exp_q(-costs_i/lam + C) = 1: one row of ``entmax_rows``."""
-    costs = np.asarray(costs, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    return float(entmax_rows(costs[None], weights[None], lam, q, _bracket=bracket)[1][0])
+    return probs, c + c_min / lam, objective
 
 
 def _one_row(costs, weights, lam, q):
@@ -203,10 +191,7 @@ def entmax_quadratic(r_matrix, mean, lam, q):
     """
     q = _as_q(q)
     r_matrix = np.atleast_2d(np.asarray(r_matrix, dtype=float))
-    if not np.allclose(r_matrix, r_matrix.T, atol=1e-12):
-        raise ValueError("r_matrix must be symmetric")
-    if np.any(np.linalg.eigvalsh(r_matrix) <= 0):
-        raise ValueError("r_matrix must be positive definite")
+    _check_spd(r_matrix, "r_matrix")
     _check_lam(lam)
     n = r_matrix.shape[0]
     eta = deformation_eta(r_matrix, lam, q)

@@ -12,6 +12,8 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
+from .deformed import _check_distributions
+from .qgaussian import _check_spd
 from .qkl import QklInstance, QklSolution
 from .qlqr import QlqrInstance, QlqrSolution
 from .troc import FiniteTrocInstance, TrocSolution
@@ -175,8 +177,7 @@ def load_instance(path, overrides=None):
 
 def solution_to_dict(kind, solution):
     """The ``solution.json`` payload: ``kind`` plus every array of the solution."""
-    arrays = {k: v for k, v in vars(solution).items() if k != "q"}  # q-LQR's q is the instance's
-    return {"kind": kind, **arrays}
+    return {"kind": kind, **vars(solution)}
 
 
 def _solution_layout(instance):
@@ -199,27 +200,6 @@ def _solution_layout(instance):
     )
 
 
-def _column_stochastic(stack):
-    return bool(np.all(stack >= 0) and np.all(np.abs(stack.sum(axis=-2) - 1.0) <= 1e-9))
-
-
-def _positive_definite(stack):
-    if not np.allclose(stack, np.swapaxes(stack, -1, -2), atol=1e-12):
-        return False
-    try:
-        np.linalg.cholesky(stack)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-# what a finite, well-shaped field must also be: name -> (check, description)
-_FIELD_CHECKS = {
-    "controlled_matrices": (_column_stochastic, "non-negative with columns summing to 1"),
-    "noise_covariances": (_positive_definite, "symmetric positive definite"),
-}
-
-
 def solution_from_dict(doc, instance):
     """Solution object from a parsed ``solution.json`` made for ``instance``.
 
@@ -230,7 +210,7 @@ def solution_from_dict(doc, instance):
     ``doc["kind"]`` against the instance.
     """
     cls, layout = _solution_layout(instance)
-    fields = {"q": instance.q} if cls is QlqrSolution else {}
+    fields = {}
     horizon = None
     for name, (extra, *dims) in layout.items():
         try:
@@ -244,9 +224,13 @@ def solution_from_dict(doc, instance):
         shape = (horizon + extra, *dims)
         if arr.shape != shape or not np.all(np.isfinite(arr)):
             raise InstanceError(f"solution field {name!r} must be finite with shape {shape}")
-        check, description = _FIELD_CHECKS.get(name, (None, None))
-        if check is not None and not check(arr):
-            raise InstanceError(f"solution field {name!r} must be {description}")
+        try:
+            if name == "controlled_matrices":
+                _check_distributions(arr, -2, "every column")
+            elif name == "noise_covariances":
+                _check_spd(arr, "every covariance")
+        except ValueError as exc:
+            raise InstanceError(f"solution field {name!r}: {exc}") from exc
         fields[name] = arr
     return cls(**fields)
 

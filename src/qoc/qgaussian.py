@@ -18,6 +18,21 @@ def _support_threshold(n, q):
     return _deformation_scale(n, q) / (1.0 - q)
 
 
+def _check_spd(matrix, what):
+    """Cholesky factor of ``matrix``, or of each matrix in a stack.
+
+    Raises ValueError unless every matrix is symmetric within 1e-12 and
+    positive definite.  Symmetry is checked first because the factorization
+    reads only the lower triangle.
+    """
+    if np.allclose(matrix, np.swapaxes(matrix, -1, -2), atol=1e-12):
+        try:
+            return np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            pass
+    raise ValueError(f"{what} must be symmetric positive definite")
+
+
 class QGaussian:
     """q-Gaussian N_q(mu, sigma) for deformation parameter q in [0, 1).
 
@@ -37,12 +52,7 @@ class QGaussian:
             sigma = sigma.reshape(1, 1)
         if sigma.shape != (self.mu.size, self.mu.size):
             raise ValueError("sigma shape does not match mu")
-        if not np.allclose(sigma, sigma.T, atol=1e-12):
-            raise ValueError("sigma must be symmetric")
-        try:
-            self._chol = np.linalg.cholesky(sigma)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("sigma must be positive definite") from exc
+        self._chol = _check_spd(sigma, "sigma")
         self.sigma = sigma
         self._sigma_inv = np.linalg.inv(sigma)
 

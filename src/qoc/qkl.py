@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import DeformationParameter, _as_q, deformed_entropy, qkl_divergence
+from .deformed import (
+    DeformationParameter, _as_q, _check_distributions, deformed_entropy, qkl_divergence
+)
 # entmax_weighted is no longer called here, but bench/spans.py wraps qoc.qkl.entmax_weighted
 from .entmax import _check_lam, entmax_rows, entmax_weighted
 
@@ -28,6 +30,10 @@ __all__ = [
     "sweep_metrics",
     "rollout",
 ]
+
+# the stationary recursion stops once the relative values drift less than this
+STATIONARY_TOL = 1e-10
+STATIONARY_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -54,10 +60,7 @@ class QklInstance:
         n = p0.shape[0]
         if p0.shape != (n, n):
             raise ValueError("passive_matrix must be square")
-        if np.any(p0 < 0):
-            raise ValueError("passive_matrix entries must be non-negative")
-        if np.any(np.abs(p0.sum(axis=0) - 1.0) > 1e-9):
-            raise ValueError("every column of passive_matrix must sum to 1")
+        _check_distributions(p0, 0, "every column of passive_matrix")
         if l.shape != (n,):
             raise ValueError("state_cost must have length n")
         if self.horizon < 1:
@@ -69,6 +72,7 @@ class QklInstance:
         init = np.asarray(init, dtype=float)
         if init.shape != (n,):
             raise ValueError("initial must have length n")
+        _check_distributions(init, 0, "initial")
         object.__setattr__(self, "initial", init)
 
     @property
@@ -120,7 +124,7 @@ def solve_qkl(instance):
     return QklSolution(values, matrices, normalizers)
 
 
-def solve_qkl_stationary(instance, tol=1e-10, max_iter=10_000):
+def solve_qkl_stationary(instance):
     """Iterate the backward recursion until relative values stop changing.
 
     Absolute values grow linearly with the horizon, so convergence is
@@ -130,17 +134,20 @@ def solve_qkl_stationary(instance, tol=1e-10, max_iter=10_000):
     p0, l = instance.passive_matrix, instance.state_cost
     layout = _support_layout(p0)
     value = l.copy()
-    for _ in range(max_iter):
+    for _ in range(STATIONARY_MAX_ITER):
         p_star, normalizers, new_value = _backward_step(
             layout, value, l, instance.lam, instance.q
         )
-        drift = (new_value - new_value[0]) - (value - value[0])
-        if np.max(np.abs(drift)) < tol:
+        drift = np.max(np.abs((new_value - new_value[0]) - (value - value[0])))
+        if drift < STATIONARY_TOL:
             # normalizers were computed from `value`, so return that vector:
             # z = C(j0) - value/lam is then the exact exp_q argument
             return p_star, normalizers, value
         value = new_value
-    raise RuntimeError("stationary backward recursion did not converge")
+    raise RuntimeError(
+        f"stationary backward recursion did not converge in {STATIONARY_MAX_ITER} "
+        f"iterations: last drift {drift:.3g}"
+    )
 
 
 def relative_values(value, normalizers, reference_state=0, lam=1.0):
@@ -187,22 +194,35 @@ def sweep_metrics(instance, solution):
     }
 
 
-def rollout(instance, matrices, steps, seed, initial_state=None):
-    """Sample a trajectory of the controlled chain; deterministic per seed."""
+def _choice_table(p):
+    """Generator.choice's table for each row of ``p``: the cumulative sum over its last entry."""
+    cdf = np.cumsum(p, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
+def rollout(instance, matrices, steps, seeds):
+    """Sample one trajectory of the controlled chain per seed; returns (len(seeds), steps + 1).
+
+    Trajectory t draws default_rng(seeds[t]).random(steps + 1) up front and
+    spends one uniform per draw, on the initial law and then on the column
+    of its current state.  A draw counts the table entries <= u, as
+    searchsorted(side="right") does in Generator.choice, so every path is
+    the one that a ``choice`` call per draw would give.
+    """
     matrices = np.asarray(matrices, dtype=float)
     if matrices.ndim == 2:
         matrices = np.broadcast_to(matrices, (steps,) + matrices.shape)
     if matrices.shape[0] < steps:
         raise ValueError("not enough controlled matrices for the requested steps")
-    rng = np.random.default_rng(seed)
-    n = instance.num_states
-    if initial_state is None:
-        state = int(rng.choice(n, p=instance.initial))
-    else:
-        state = int(initial_state)
-    path = [state]
+    draws = [np.random.default_rng(seed).random(steps + 1) for seed in seeds]
+    uniforms = np.reshape(draws, (len(seeds), steps + 1))
+    paths = np.zeros(uniforms.shape, dtype=int)
+    paths[:, 0] = np.sum(_choice_table(instance.initial) <= uniforms[:, :1], axis=1)
     for k in range(steps):
-        col = matrices[k][:, state]
-        state = int(rng.choice(n, p=col / col.sum()))
-        path.append(state)
-    return np.asarray(path, dtype=int)
+        cols = np.ascontiguousarray(matrices[k].T)  # row j is column j
+        sums = cols.sum(axis=1, keepdims=True)
+        if not (np.all(cols >= 0) and np.all((sums > 0) & (sums < np.inf))):
+            raise ValueError(f"controlled matrix {k} has a column that is not a distribution")
+        table = _choice_table(cols / sums)[paths[:, k]]
+        paths[:, k + 1] = np.sum(table <= uniforms[:, k + 1 : k + 2], axis=1)
+    return paths

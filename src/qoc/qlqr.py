@@ -13,7 +13,7 @@ import numpy as np
 
 from .deformed import DeformationParameter, _as_q
 from .entmax import _check_lam, entmax_quadratic
-from .qgaussian import QGaussian, _deformation_scale, _support_threshold
+from .qgaussian import QGaussian, _check_spd, _deformation_scale, _support_threshold
 
 __all__ = [
     "QlqrInstance",
@@ -28,6 +28,10 @@ __all__ = [
     "sweep_metrics",
     "sweep_q",
 ]
+
+# the stationary Riccati iteration stops once no entry of Pi moves by this much
+RICCATI_TOL = 1e-12
+RICCATI_MAX_ITER = 100_000
 
 
 def _mat(x):
@@ -64,8 +68,7 @@ class QlqrInstance:
             raise ValueError("Q and Q_T must be n x n")
         if self.s_cost.shape != (n, m) or self.r_cost.shape != (m, m):
             raise ValueError("S must be n x m and R must be m x m")
-        if np.any(np.linalg.eigvalsh(self.r_cost) <= 0):
-            raise ValueError("R must be positive definite")
+        _check_spd(self.r_cost, "r_cost")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         _check_lam(self.lam)
@@ -91,15 +94,10 @@ class QlqrSolution:
     noise_covariances: np.ndarray  # (T, m, m)
     etas: np.ndarray  # (T,)
     support_radii: np.ndarray  # (T, m) noise support bound per principal axis
-    q: DeformationParameter
 
     @property
     def horizon(self):
         return self.gains.shape[0]
-
-    def noise_distribution(self, k):
-        m = self.noise_covariances.shape[1]
-        return QGaussian(np.zeros(m), self.noise_covariances[k], self.q)
 
 
 def _riccati_step(pi_next, a, b, q_cost, s_cost, r_cost):
@@ -128,7 +126,6 @@ def _package(instance, pis, gains, effective_costs):
         np.asarray(sigmas),
         np.asarray(etas),
         np.asarray(radii),
-        instance.q,
     )
 
 
@@ -151,21 +148,25 @@ def solve_qlqr(instance):
     return _package(instance, pis, gains, effective)
 
 
-def solve_qlqr_stationary(instance, tol=1e-12, max_iter=100_000):
+def solve_qlqr_stationary(instance):
     """Iterate the Riccati recursion to its fixed point.
 
     Returns a single-stage solution whose matrices are the stationary
     limits; use it with any horizon by reusing stage 0.
     """
     pi = instance.terminal_cost
-    for _ in range(max_iter):
+    for _ in range(RICCATI_MAX_ITER):
         pi_new, gain, r_t = _riccati_step(
             pi, instance.a, instance.b, instance.q_cost, instance.s_cost, instance.r_cost
         )
-        if np.max(np.abs(pi_new - pi)) < tol:
+        change = np.max(np.abs(pi_new - pi))
+        if change < RICCATI_TOL:
             return _package(instance, [pi_new, pi_new], [gain], [r_t])
         pi = pi_new
-    raise RuntimeError("Riccati recursion did not reach a fixed point")
+    raise RuntimeError(
+        f"Riccati recursion did not reach a fixed point in {RICCATI_MAX_ITER} "
+        f"iterations: last max |dPi| {change:.3g}"
+    )
 
 
 def _stage(arr, k):

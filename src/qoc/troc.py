@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformed import DeformationParameter, DiscreteDistribution, _as_q, deformed_entropy
+from .deformed import DeformationParameter, _as_q, _check_distributions, deformed_entropy
 # entmax_discrete is no longer called here, but bench/spans.py wraps qoc.troc.entmax_discrete
 from .entmax import _check_lam, entmax_discrete, entmax_rows
 
@@ -45,10 +45,7 @@ class FiniteTrocInstance:
         n, m = self.num_states, self.num_actions
         if self.kernel.shape != (n, m, n):
             raise ValueError("kernel must have shape (n, m, n)")
-        if np.any(self.kernel < 0) or np.any(
-            np.abs(self.kernel.sum(axis=2) - 1.0) > 1e-9
-        ):
-            raise ValueError("each kernel slice must be a distribution over next states")
+        _check_distributions(self.kernel, 2, "each kernel slice")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         _check_lam(self.lam)
@@ -104,11 +101,7 @@ def evaluate_policy(instance, policy, initial):
     n, m, T = instance.num_states, instance.num_actions, instance.horizon
     if policy.shape[-3:] != (T, n, m) or policy.ndim not in (3, 4):
         raise ValueError("policy must have shape (T, n, m) or (B, T, n, m)")
-    mu = (
-        initial.weights
-        if isinstance(initial, DiscreteDistribution)
-        else np.asarray(initial, dtype=float)
-    )
+    mu = np.asarray(initial, dtype=float)
     if mu.shape != (n,):
         raise ValueError("initial must be a distribution over the n states")
     lam, q = instance.lam, instance.q

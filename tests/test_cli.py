@@ -439,3 +439,49 @@ class TestSimulateRejectsInvalidSolutions:
         assert self._simulate_edited(tmp_path, "qlqr_scalar.json", edit) == 1
         err = capsys.readouterr().err
         assert "noise_covariances" in err and "positive definite" in err
+
+
+class TestInvalidLawsAndCosts:
+    """Inputs that are not distributions or not positive definite exit 1 and name the field."""
+
+    @staticmethod
+    def _write(tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["validate", "solve", "sweep", "simulate"])
+    def test_qkl_initial_summing_to_2(self, tmp_path, capsys, command):
+        doc = json.load(open(instance_path("qkl_ring4.json")))
+        bad = self._write(tmp_path, dict(doc, initial=[0.5] * 4))
+        out = str(tmp_path / "out")
+        extra = {
+            "validate": [],
+            "solve": ["--out", out],
+            "sweep": ["--grid", "0.2,0.4", "--out", out],
+            "simulate": [str(tmp_path / "solution.json"), "--out", out, "--steps", "5"],
+        }[command]
+        if command == "simulate":  # a valid solution, so only the instance is at fault
+            assert run(["solve", instance_path("qkl_ring4.json"), "--out", str(tmp_path)]) == 0
+            capsys.readouterr()
+        assert run([command, bad] + extra) == 1
+        err = capsys.readouterr().err
+        assert "initial must be non-negative and sum to 1" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+
+    def test_negative_qkl_initial(self, tmp_path, capsys):
+        doc = json.load(open(instance_path("qkl_ring4.json")))
+        assert run(["validate", self._write(tmp_path, dict(doc, initial=[1.5, -0.5, 0, 0]))]) == 1
+        err = capsys.readouterr().err
+        assert "initial" in err and "Traceback" not in err
+
+    def test_triangular_r_cost(self, tmp_path, capsys):
+        eye, zeros = np.eye(2).tolist(), np.zeros((2, 2)).tolist()
+        doc = {
+            "kind": "qlqr", "q": 0.25, "lambda": 0.01, "horizon": 10,
+            "a": eye, "b": eye, "q_cost": eye, "s_cost": zeros,
+            "r_cost": [[1.0, 1.0], [0.0, 1.0]], "terminal_cost": eye, "initial_state": [1.0, 0.0],
+        }
+        assert run(["solve", self._write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "r_cost must be symmetric positive definite" in err and "Traceback" not in err

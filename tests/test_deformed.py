@@ -43,6 +43,10 @@ class TestDiscreteDistribution:
         with pytest.raises(ValueError):
             DiscreteDistribution([1.1, -0.1])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="weights must be non-negative and sum to 1"):
+            DiscreteDistribution([np.nan, 1.0])
+
 
 class TestExpLog:
     def test_exp_q_at_zero(self):

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from qoc.deformed import deformed_entropy, exp_q, log_q
-from qoc.entmax import (
-    _normalization_root,
-    entmax_discrete,
-    entmax_quadratic,
-    entmax_weighted,
-)
+from qoc.entmax import entmax_discrete, entmax_quadratic, entmax_weighted
 from qoc.oracle import GridSpec, brute_force_entmax, quadrature_normalization, sparsemax
 
 
@@ -54,13 +49,6 @@ class TestDiscrete:
                 # Q_i + lam log_q(w_i) must be constant (= lam C) on the support
                 resid = costs[i] + lam * log_q(w[i], q) - lam * res.normalizer_c
                 assert abs(resid) < 1e-8
-
-    def test_uniqueness_bracket_independence(self):
-        costs = np.array([1.0, -2.0, 0.5, 3.0])
-        lam, q = 0.6, 0.35
-        c1 = _normalization_root(costs, np.ones(4), lam, q)
-        c2 = _normalization_root(costs, np.ones(4), lam, q, bracket=(-500.0, 500.0))
-        assert abs(c1 - c2) < 1e-10
 
     def test_softmax_limit(self):
         rng = np.random.default_rng(3)

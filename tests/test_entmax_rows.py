@@ -8,12 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qoc.deformed import exp_q, log_q
-from qoc.entmax import (
-    _normalization_root,
-    entmax_discrete,
-    entmax_rows,
-    entmax_weighted,
-)
+from qoc.entmax import entmax_discrete, entmax_rows, entmax_weighted
 from qoc.oracle import GridSpec, brute_force_entmax, sparsemax
 
 LAMS = st.floats(0.1, 10.0)
@@ -98,15 +93,6 @@ def test_non_finite_lam_is_rejected(lam):
         entmax_weighted([1.0, 2.0], [0.5, 0.5], lam, 0.5)
     with pytest.raises(ValueError):
         entmax_rows(np.ones((2, 3)), None, lam, 0.5)
-
-
-def test_normalization_root_checks_its_bracket():
-    costs, ones = np.array([0.0, 0.1, 0.2, 0.3]), np.ones(4)
-    lam, q = 0.6, 0.35
-    c = _normalization_root(costs, ones, lam, q)
-    assert abs(_normalization_root(costs, ones, lam, q, bracket=(c - 1e-3, c + 1e-3)) - c) < 1e-12
-    with pytest.raises(ValueError, match="lower end"):
-        _normalization_root(costs, ones, lam, q, bracket=(c + 0.1, c + 1.0))
 
 
 @pytest.mark.parametrize("q", [0.9, 0.999])

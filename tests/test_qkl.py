@@ -46,6 +46,17 @@ class TestInstance:
                 q=0.3,
             )
 
+    def test_rejects_a_nan_passive_column(self):
+        p0 = RING4.copy()
+        p0[:, 2] = np.nan
+        with pytest.raises(ValueError, match="every column of passive_matrix"):
+            QklInstance(p0, np.zeros(4), 5, 1.0, 0.3)
+
+    @pytest.mark.parametrize("initial", [[0.5] * 4, [1.5, -0.5, 0.0, 0.0], [np.nan, 1.0, 0.0, 0.0]])
+    def test_rejects_an_initial_law_that_is_not_a_distribution(self, initial):
+        with pytest.raises(ValueError, match="initial must be non-negative and sum to 1"):
+            QklInstance(RING4, np.zeros(4), 5, 1.0, 0.3, initial=initial)
+
     def test_default_initial_uniform(self):
         inst = ring_instance()
         assert np.allclose(inst.initial, 0.25)
@@ -116,25 +127,80 @@ class TestStationaryRing:
         assert np.all(p_star[RING4 > 0] > 0)
 
 
+class TestStationary:
+    def test_periodic_chain_reports_its_drift(self):
+        # the swap chain alternates the relative value of state 1 between 0 and 1
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        inst = QklInstance(swap, np.array([0.0, 1.0]), 5, 1.0, 0.3)
+        with pytest.raises(RuntimeError, match=r"10000 iterations: last drift 1$"):
+            solve_qkl_stationary(inst)
+
+
 class TestRollout:
     def test_determinism(self):
         inst = ring_instance(horizon=10)
         sol = solve_qkl(inst)
-        a = rollout(inst, sol.controlled_matrices, 10, seed=5)
-        b = rollout(inst, sol.controlled_matrices, 10, seed=5)
+        a = rollout(inst, sol.controlled_matrices, 10, [5])[0]
+        b = rollout(inst, sol.controlled_matrices, 10, [5])[0]
         assert np.array_equal(a, b)
 
     def test_respects_support(self):
         inst = ring_instance(horizon=50)
         p_star, _, _ = solve_qkl_stationary(inst)
-        path = rollout(inst, p_star, 50, seed=7)
+        path = rollout(inst, p_star, 50, [7])[0]
         for a, b in zip(path[:-1], path[1:]):
             assert p_star[b, a] > 0
 
     def test_length_and_range(self):
         inst = ring_instance(horizon=20)
         p_star, _, _ = solve_qkl_stationary(inst)
-        path = rollout(inst, p_star, 20, seed=3, initial_state=1)
+        path = rollout(inst, p_star, 20, [3])[0]
         assert path.shape == (21,)
-        assert path[0] == 1
         assert np.all((path >= 0) & (path < 4))
+
+    @staticmethod
+    def _choice_paths(inst, matrices, steps, seeds):
+        """Reference: one Generator.choice call per draw, trajectory by trajectory."""
+        paths = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            path = [int(rng.choice(inst.num_states, p=inst.initial))]
+            for k in range(steps):
+                col = matrices[k][:, path[-1]]
+                path.append(int(rng.choice(inst.num_states, p=col / col.sum())))
+            paths.append(path)
+        return np.asarray(paths)
+
+    def test_matches_one_choice_call_per_draw_on_the_ring(self):
+        inst = ring_instance(horizon=30)
+        matrices = solve_qkl(inst).controlled_matrices
+        seeds = [(7, t) for t in range(40)]
+        expected = self._choice_paths(inst, matrices, 30, seeds)
+        assert np.array_equal(rollout(inst, matrices, 30, seeds), expected)
+
+    def test_matches_one_choice_call_per_draw_on_uneven_supports(self):
+        rng = np.random.default_rng(11)
+        n = 12
+        p0 = rng.random((n, n)) * (rng.random((n, n)) < np.linspace(0.1, 0.9, n))
+        p0[np.arange(n), np.arange(n)] += 0.05  # every column keeps some support
+        p0 /= p0.sum(axis=0)
+        inst = QklInstance(p0, rng.normal(size=n), 25, 0.7, 0.3, initial=rng.dirichlet(np.ones(n)))
+        matrices = solve_qkl(inst).controlled_matrices
+        seeds = [(3, t) for t in range(60)]
+        expected = self._choice_paths(inst, matrices, 25, seeds)
+        assert np.array_equal(rollout(inst, matrices, 25, seeds), expected)
+
+    @pytest.mark.parametrize("entry", [-0.1, float("nan")])
+    def test_rejects_a_column_choice_would_reject(self, entry):
+        inst = ring_instance(horizon=5)
+        matrices = solve_qkl(inst).controlled_matrices.copy()
+        matrices[2][:, :] = entry
+        with pytest.raises(ValueError, match="controlled matrix 2"):
+            rollout(inst, matrices, 5, [1, 2])
+
+    def test_rejects_a_zero_column(self):
+        inst = ring_instance(horizon=5)
+        matrices = solve_qkl(inst).controlled_matrices.copy()
+        matrices[0][:, 3] = 0.0
+        with pytest.raises(ValueError, match="controlled matrix 0"):
+            rollout(inst, matrices, 5, [1])

@@ -74,6 +74,21 @@ class TestInstance:
                 q=0.3,
             )
 
+    def test_rejects_an_asymmetric_r(self):
+        # x'Rx reads only R's symmetric part; a triangle alone must not pass for it
+        with pytest.raises(ValueError, match="r_cost must be symmetric positive definite"):
+            QlqrInstance(
+                a=np.eye(2),
+                b=np.eye(2),
+                q_cost=np.eye(2),
+                s_cost=np.zeros((2, 2)),
+                r_cost=[[1.0, 1.0], [0.0, 1.0]],
+                terminal_cost=np.eye(2),
+                horizon=5,
+                lam=0.1,
+                q=0.3,
+            )
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             QlqrInstance(
@@ -141,8 +156,9 @@ class TestNoise:
         assert s2 / s1 == pytest.approx(4.0 ** (2.0 / 2.75), rel=1e-9)
 
     def test_support_radius_consistent_with_distribution(self):
-        sol = solve_qlqr_stationary(scalar_instance())
-        g = sol.noise_distribution(0)
+        inst = scalar_instance()
+        sol = solve_qlqr_stationary(inst)
+        g = QGaussian([0.0], sol.noise_covariances[0], inst.q)
         assert sol.support_radii[0][0] == pytest.approx(
             g.support_radius([1.0]), abs=1e-12
         )
@@ -154,7 +170,7 @@ class TestNoise:
 
         inst = scalar_instance(q=0.4, lam=0.02)
         sol = solve_qlqr_stationary(inst)
-        g = sol.noise_distribution(0)
+        g = QGaussian([0.0], sol.noise_covariances[0], inst.q)
         r_t = inst.r_cost[0, 0] + sol.pi_matrices[0][0, 0]
         r_support = g.support_radius([1.0])
         us = np.linspace(-0.9 * r_support, 0.9 * r_support, 9)

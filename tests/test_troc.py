@@ -37,6 +37,12 @@ class TestInstance:
                 q=0.3,
             )
 
+    def test_rejects_a_nan_kernel_entry(self):
+        kernel = np.full((2, 2, 2), 0.5)
+        kernel[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match="each kernel slice must be non-negative and sum to 1"):
+            FiniteTrocInstance(kernel, np.zeros((2, 2)), np.zeros(2), 3, 1.0, 0.3)
+
     def test_rejects_bad_cost_shape(self):
         kernel = np.full((2, 2, 2), 0.5)
         with pytest.raises(ValueError):
