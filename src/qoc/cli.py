@@ -244,7 +244,9 @@ def build_parser():
     p.add_argument("--steps", type=int, default=30)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("validate", help="schema-check an instance file")
+    p = sub.add_parser(
+        "validate", help="schema-check an instance file and build it (distribution and SPD checks)"
+    )
     common(p, writes=False)
     p.set_defaults(func=cmd_validate)
     return parser

@@ -76,8 +76,8 @@ class DiscreteDistribution:
 def exp_q(x, q):
     """Deformed exponential [1 + (1-q) x]_+^(1/(1-q)).
 
-    Total function: returns exactly 0 wherever 1 + (1-q) x <= 0.
-    Accepts scalars or arrays.
+    Total function: returns exactly 0 wherever 1 + (1-q) x <= 0, and NaN
+    at NaN.  Accepts scalars or arrays.
     """
     q = _as_q(q)
     x = np.asarray(x, dtype=float)
@@ -85,7 +85,7 @@ def exp_q(x, q):
     x = np.atleast_1d(x)
     arg = (1.0 - q) * x
     out = np.zeros_like(x)
-    pos = arg > -1.0
+    pos = ~(arg <= -1.0)  # NaN falls here and stays NaN
     # log1p keeps the q -> 1 limit accurate (exponent 1/(1-q) blows up)
     out[pos] = np.exp(np.log1p(arg[pos]) / (1.0 - q))
     return float(out[0]) if scalar else out

@@ -10,10 +10,10 @@ can be exactly sparse for q < 1.  The quadratic-cost analogue has a
 closed-form q-Gaussian minimizer.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .deformed import (
     DiscreteDistribution,
@@ -23,7 +23,7 @@ from .deformed import (
     log_q,
     qkl_divergence,
 )
-from .qgaussian import QGaussian, _check_spd, _deformation_scale
+from .qgaussian import QGaussian, _check_spd, _deformation_scale, _log_ball_integral
 
 __all__ = [
     "EntmaxResult",
@@ -52,6 +52,25 @@ class QuadraticEntmaxResult:
 def _check_lam(lam):
     if not (lam > 0) or not np.isfinite(lam):
         raise ValueError(f"lam must be positive and finite, got {lam}")
+
+
+@contextmanager
+def _solver_stage(label):
+    """One solver stage: overflow gives inf or NaN quietly, and an error is prefixed by ``label``.
+
+    Each stage then checks its own results with ``_check_finite``.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except (ValueError, RuntimeError) as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
+
+
+def _check_finite(what, *arrays):
+    """Raise ValueError unless every entry of ``arrays`` is finite."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError(f"{what} overflowed float64")
 
 
 def entmax_rows(costs, weights, lam, q):
@@ -172,12 +191,8 @@ def deformation_eta(r_matrix, lam, q):
     q = _as_q(q)
     r_matrix = np.atleast_2d(np.asarray(r_matrix, dtype=float))
     n = r_matrix.shape[0]
-    a = (2.0 - q) / (1.0 - q)
-    log_inner = (
-        -0.5 * np.linalg.slogdet(r_matrix)[1]
-        + (n / 2.0) * np.log(np.pi * lam / (1.0 - q))
-        + gammaln(a)
-        - gammaln(a + n / 2.0)
+    log_inner = _log_ball_integral(
+        -0.5 * np.linalg.slogdet(r_matrix)[1], n, np.pi * lam / (1.0 - q), (2.0 - q) / (1.0 - q)
     )
     exponent = 2.0 * (1.0 - q) / ((n + 2.0) - n * q)
     return float(np.exp(exponent * log_inner))

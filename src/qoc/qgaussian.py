@@ -18,6 +18,16 @@ def _support_threshold(n, q):
     return _deformation_scale(n, q) / (1.0 - q)
 
 
+def _log_ball_integral(half_logdet, n, pi_scale, a):
+    """log of the integral of [1 - x^T S^{-1} x / t]_+^(a-1) over R^n.
+
+    That is det(S)^{1/2} (pi t)^{n/2} Gamma(a) / Gamma(a + n/2), given
+    half_logdet = log det(S) / 2 and pi_scale = pi t.  Z_q, the Tsallis
+    entropy and the eta of the quadratic ent-max are all this integral.
+    """
+    return half_logdet + (n / 2.0) * np.log(pi_scale) + gammaln(a) - gammaln(a + n / 2.0)
+
+
 def _check_spd(matrix, what):
     """Cholesky factor of ``matrix``, or of each matrix in a stack.
 
@@ -65,16 +75,32 @@ class QGaussian:
         """Right-hand side of the support inequality in Mahalanobis units."""
         return _support_threshold(self.dim, self.q)
 
+    def _log_ball(self, a):
+        """log of the integral of [1 - s / support_threshold]_+^(a-1), s = mahalanobis_sq."""
+        return _log_ball_integral(
+            0.5 * np.linalg.slogdet(self.sigma)[1], self.dim, np.pi * self.support_threshold, a
+        )
+
     def normalizer(self):
         """Normalization constant Z_q, summed in log space so det(sigma) cannot underflow."""
-        n = self.dim
-        a = (2.0 - self.q) / (1.0 - self.q)
-        return np.exp(
-            0.5 * np.linalg.slogdet(self.sigma)[1]
-            + (n / 2.0) * np.log(np.pi * _support_threshold(n, self.q))
-            + gammaln(a)
-            - gammaln(a + n / 2.0)
-        )
+        return np.exp(self._log_ball((2.0 - self.q) / (1.0 - self.q)))
+
+    def deformed_entropy(self):
+        """Closed-form deformed q-entropy: int phi^{2-q} = Z^{q-1} (1 - n(1-q)/((n+4)-(n+2)q))."""
+        q, n = self.q, self.dim
+        d = _deformation_scale(n, q)
+        integral_pow = self.normalizer() ** (q - 1.0) * (1.0 - n * (1.0 - q) / d)
+        plogq = (integral_pow - 1.0) / (1.0 - q)
+        return -(plogq - 1.0) / (2.0 - q)
+
+    def tsallis_entropy(self):
+        """Closed-form Tsallis entropy (q > 0): int phi^q is Z^{-q} times a ball integral."""
+        q = self.q
+        if q == 0.0:
+            raise ValueError("Tsallis entropy requires q > 0")
+        log_int = self._log_ball(1.0 / (1.0 - q)) - q * self._log_ball((2.0 - q) / (1.0 - q))
+        plogq = (1.0 - np.exp(log_int)) / (1.0 - q)
+        return -(plogq - 1.0) / q
 
     def mahalanobis_sq(self, x):
         """(x - mu)^T sigma^{-1} (x - mu), vectorized over rows of x."""

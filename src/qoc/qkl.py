@@ -18,7 +18,7 @@ from .deformed import (
     DeformationParameter, _as_q, _check_distributions, deformed_entropy, qkl_divergence
 )
 # entmax_weighted is no longer called here, but bench/spans.py wraps qoc.qkl.entmax_weighted
-from .entmax import _check_lam, entmax_rows, entmax_weighted
+from .entmax import _check_finite, _check_lam, _solver_stage, entmax_rows, entmax_weighted
 
 __all__ = [
     "QklInstance",
@@ -105,7 +105,9 @@ def _backward_step(layout, value_next, l, lam, q):
     probs, normalizers, objective = entmax_rows(value_next[index], weights, lam, q)
     p_star = np.zeros((index.shape[0], value_next.size))
     np.put_along_axis(p_star, index, probs, axis=1)
-    return p_star.T, normalizers, l + objective
+    value = l + objective
+    _check_finite("values or normalizers", value, normalizers)
+    return p_star.T, normalizers, value
 
 
 def solve_qkl(instance):
@@ -118,9 +120,10 @@ def solve_qkl(instance):
     values[T] = l
     layout = _support_layout(p0)
     for k in range(T - 1, -1, -1):
-        matrices[k], normalizers[k], values[k] = _backward_step(
-            layout, values[k + 1], l, instance.lam, instance.q
-        )
+        with _solver_stage(f"stage {k}"):
+            matrices[k], normalizers[k], values[k] = _backward_step(
+                layout, values[k + 1], l, instance.lam, instance.q
+            )
     return QklSolution(values, matrices, normalizers)
 
 
@@ -134,10 +137,11 @@ def solve_qkl_stationary(instance):
     p0, l = instance.passive_matrix, instance.state_cost
     layout = _support_layout(p0)
     value = l.copy()
-    for _ in range(STATIONARY_MAX_ITER):
-        p_star, normalizers, new_value = _backward_step(
-            layout, value, l, instance.lam, instance.q
-        )
+    for i in range(STATIONARY_MAX_ITER):
+        with _solver_stage(f"iteration {i}"):
+            p_star, normalizers, new_value = _backward_step(
+                layout, value, l, instance.lam, instance.q
+            )
         drift = np.max(np.abs((new_value - new_value[0]) - (value - value[0])))
         if drift < STATIONARY_TOL:
             # normalizers were computed from `value`, so return that vector:
@@ -150,12 +154,13 @@ def solve_qkl_stationary(instance):
     )
 
 
-def relative_values(value, normalizers, reference_state=0, lam=1.0):
+def relative_values(value, normalizers, reference_state=0, *, lam):
     """Argument of exp_q for the given reference column: z = C(j0) - V/lam.
 
     These differences are horizon-independent in the stationary regime and
     determine the sparsity pattern of the controlled column: an entry is
-    exactly zero iff 1 + (1-q) z_i <= 0.
+    exactly zero iff 1 + (1-q) z_i <= 0.  ``lam`` is the instance's
+    regularization weight; it has no default, since z depends on it.
     """
     value = np.asarray(value, dtype=float)
     return normalizers[reference_state] - value / lam

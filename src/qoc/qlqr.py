@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformed import DeformationParameter, _as_q
-from .entmax import _check_lam, entmax_quadratic
-from .qgaussian import QGaussian, _check_spd, _deformation_scale, _support_threshold
+from .entmax import _check_finite, _check_lam, _solver_stage, entmax_quadratic
+from .qgaussian import QGaussian, _check_spd, _support_threshold
 
 __all__ = [
     "QlqrInstance",
@@ -22,8 +22,6 @@ __all__ = [
     "solve_qlqr_stationary",
     "simulate_closed_loop",
     "support_envelope",
-    "policy_entropy",
-    "policy_tsallis_entropy",
     "expected_quadratic_cost",
     "sweep_metrics",
     "sweep_q",
@@ -104,11 +102,15 @@ def _riccati_step(pi_next, a, b, q_cost, s_cost, r_cost):
     r_t = r_cost + b.T @ pi_next @ b
     s_t = s_cost + a.T @ pi_next @ b
     q_t = q_cost + a.T @ pi_next @ a
-    if np.any(np.linalg.eigvalsh(0.5 * (r_t + r_t.T)) <= 0):
+    r_sym = 0.5 * (r_t + r_t.T)
+    _check_finite("Riccati matrices", r_sym, s_t, q_t)
+    if np.any(np.linalg.eigvalsh(r_sym) <= 0):
         raise ValueError("effective input cost lost positive definiteness")
     gain = -np.linalg.solve(r_t, s_t.T)
     pi = q_t - s_t @ np.linalg.solve(r_t, s_t.T)
-    return 0.5 * (pi + pi.T), gain, 0.5 * (r_t + r_t.T)
+    pi = 0.5 * (pi + pi.T)
+    _check_finite("Riccati matrices", gain, pi)
+    return pi, gain, r_sym
 
 
 def _package(instance, pis, gains, effective_costs):
@@ -137,14 +139,15 @@ def solve_qlqr(instance):
     effective = [None] * T
     pis[T] = instance.terminal_cost
     for k in range(T - 1, -1, -1):
-        pis[k], gains[k], effective[k] = _riccati_step(
-            pis[k + 1],
-            instance.a,
-            instance.b,
-            instance.q_cost,
-            instance.s_cost,
-            instance.r_cost,
-        )
+        with _solver_stage(f"stage {k}"):
+            pis[k], gains[k], effective[k] = _riccati_step(
+                pis[k + 1],
+                instance.a,
+                instance.b,
+                instance.q_cost,
+                instance.s_cost,
+                instance.r_cost,
+            )
     return _package(instance, pis, gains, effective)
 
 
@@ -155,10 +158,11 @@ def solve_qlqr_stationary(instance):
     limits; use it with any horizon by reusing stage 0.
     """
     pi = instance.terminal_cost
-    for _ in range(RICCATI_MAX_ITER):
-        pi_new, gain, r_t = _riccati_step(
-            pi, instance.a, instance.b, instance.q_cost, instance.s_cost, instance.r_cost
-        )
+    for i in range(RICCATI_MAX_ITER):
+        with _solver_stage(f"iteration {i}"):
+            pi_new, gain, r_t = _riccati_step(
+                pi, instance.a, instance.b, instance.q_cost, instance.s_cost, instance.r_cost
+            )
         change = np.max(np.abs(pi_new - pi))
         if change < RICCATI_TOL:
             return _package(instance, [pi_new, pi_new], [gain], [r_t])
@@ -172,6 +176,12 @@ def solve_qlqr_stationary(instance):
 def _stage(arr, k):
     """Stage k of a per-stage array, clamping for stationary solutions."""
     return arr[min(k, arr.shape[0] - 1)]
+
+
+def _noise(instance, solution, k):
+    """Input noise law N_q(0, Sigma_k) of stage k."""
+    sigma = _stage(solution.noise_covariances, k)
+    return QGaussian(np.zeros(instance.input_dim), sigma, instance.q)
 
 
 def simulate_closed_loop(instance, solution, num_trajectories, steps, seed):
@@ -189,10 +199,7 @@ def simulate_closed_loop(instance, solution, num_trajectories, steps, seed):
     children = np.random.SeedSequence(seed).spawn(steps)
     for k in range(steps):
         gain = _stage(solution.gains, k)
-        sigma = _stage(solution.noise_covariances, k)
-        noise = QGaussian(np.zeros(m), sigma, instance.q).sample(
-            num_trajectories, children[k]
-        )
+        noise = _noise(instance, solution, k).sample(num_trajectories, children[k])
         u = states[k] @ gain.T + noise
         inputs[k] = u
         states[k + 1] = states[k] @ instance.a.T + u @ instance.b.T
@@ -240,47 +247,6 @@ def _ellipsoid_sum(m1, m2):
     return (1.0 + 1.0 / t) * m1 + (1.0 + t) * m2
 
 
-def policy_tsallis_entropy(sigma, q):
-    """Tsallis entropy T_q of a q-Gaussian with covariance sigma (closed form).
-
-    Uses int phi^q = Z^{-q} det(Sigma)^{1/2} (pi D/(1-q))^{n/2}
-    Gamma(g+1)/Gamma(g+n/2+1) with g = q/(1-q) and D = (n+4)-(n+2)q.
-    """
-    from scipy.special import gammaln
-
-    q = _as_q(q)
-    if q == 0.0:
-        raise ValueError("Tsallis entropy requires q > 0")
-    sigma = _mat(sigma)
-    n = sigma.shape[0]
-    z = QGaussian(np.zeros(n), sigma, q).normalizer()
-    g = q / (1.0 - q)
-    log_int = (
-        -q * np.log(z)
-        + 0.5 * np.linalg.slogdet(sigma)[1]
-        + (n / 2.0) * np.log(np.pi * _support_threshold(n, q))
-        + gammaln(g + 1.0)
-        - gammaln(g + n / 2.0 + 1.0)
-    )
-    plogq = (1.0 - np.exp(log_int)) / (1.0 - q)
-    return -(plogq - 1.0) / q
-
-
-def policy_entropy(sigma, q):
-    """Deformed q-entropy of a q-Gaussian with covariance sigma (closed form).
-
-    Uses int phi^{2-q} = Z^{q-1} (1 - n(1-q)/((n+4)-(n+2)q)).
-    """
-    q = _as_q(q)
-    sigma = _mat(sigma)
-    n = sigma.shape[0]
-    z = QGaussian(np.zeros(n), sigma, q).normalizer()
-    d = _deformation_scale(n, q)
-    integral_pow = z ** (q - 1.0) * (1.0 - n * (1.0 - q) / d)
-    plogq = (integral_pow - 1.0) / (1.0 - q)
-    return -(plogq - 1.0) / (2.0 - q)
-
-
 def expected_quadratic_cost(instance, solution, steps):
     """Exact closed-loop expected quadratic cost by second-moment recursion.
 
@@ -310,7 +276,7 @@ def sweep_metrics(instance, solution, steps):
     """Sweep point: expected cost over ``steps`` stages, stage-0 noise entropy and radius."""
     return {
         "cost": expected_quadratic_cost(instance, solution, steps),
-        "entropy": policy_entropy(solution.noise_covariances[0], instance.q),
+        "entropy": _noise(instance, solution, 0).deformed_entropy(),
         "support_radius": float(np.max(solution.support_radii[0])),
     }
 
@@ -326,6 +292,6 @@ def sweep_q(make_instance, q_grid, steps=50):
         instance = make_instance(q)
         sol = solve_qlqr_stationary(instance)
         metrics = sweep_metrics(instance, sol, steps)
-        tsallis = policy_tsallis_entropy(sol.noise_covariances[0], q) if q > 0 else float("nan")
+        tsallis = _noise(instance, sol, 0).tsallis_entropy() if instance.q > 0 else float("nan")
         rows.append({"q": float(q), **metrics, "tsallis_entropy": tsallis})
     return rows

@@ -17,7 +17,7 @@ import numpy as np
 
 from .deformed import DeformationParameter, _as_q, _check_distributions, deformed_entropy
 # entmax_discrete is no longer called here, but bench/spans.py wraps qoc.troc.entmax_discrete
-from .entmax import _check_lam, entmax_discrete, entmax_rows
+from .entmax import _check_finite, _check_lam, _solver_stage, entmax_discrete, entmax_rows
 
 __all__ = ["FiniteTrocInstance", "TrocSolution", "solve_troc", "evaluate_policy", "sweep_metrics"]
 
@@ -85,8 +85,11 @@ def solve_troc(instance):
     normalizers = np.zeros((T, n))
     value[T] = instance.terminal_cost
     for k in range(T - 1, -1, -1):
-        q_values[k] = instance.cost_at(k) + instance.kernel @ value[k + 1]
-        policy[k], normalizers[k], value[k] = entmax_rows(q_values[k], None, lam, q)
+        with _solver_stage(f"stage {k}"):
+            q_values[k] = instance.cost_at(k) + instance.kernel @ value[k + 1]
+            _check_finite("Q-values", q_values[k])
+            policy[k], normalizers[k], value[k] = entmax_rows(q_values[k], None, lam, q)
+            _check_finite("values or normalizers", value[k], normalizers[k])
     return TrocSolution(value, q_values, policy, normalizers)
 
 

@@ -73,7 +73,7 @@ def test_acceptance_1_network_reference_values(capsys):
         passive_matrix=RING4, state_cost=RING_COST, horizon=200, lam=1.0, q=0.25
     )
     p_star, normalizers, value = solve_qkl_stationary(inst)
-    z = relative_values(value, normalizers)
+    z = relative_values(value, normalizers, lam=inst.lam)
     diffs = (value - value[0])[1:]
     z_ok = np.allclose(z, [0.951, -0.049, -2.293, -2.345], atol=1e-2)
     diff_ok = np.allclose(diffs, [1.000, 3.244, 3.296], atol=1e-2)

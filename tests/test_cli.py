@@ -1,5 +1,6 @@
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -485,3 +486,30 @@ class TestInvalidLawsAndCosts:
         assert run(["solve", self._write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "r_cost must be symmetric positive definite" in err and "Traceback" not in err
+
+
+class TestOverflow:
+    """Finite inputs whose solve overflows float64 exit 2, name the stage and write nothing."""
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("troc_small.json", {"terminal_cost": [1e308] * 3},
+             "stage 3: values or normalizers overflowed"),
+            ("qkl_ring4.json", {"state_cost": [1e308] * 4},
+             "stage 199: values or normalizers overflowed"),
+            ("qlqr_scalar.json", {"q_cost": 1e308, "terminal_cost": 1e308},
+             "stage 99: Riccati matrices overflowed"),
+        ],
+        ids=["troc", "qkl", "qlqr"],
+    )
+    def test_solve_exits_2_naming_the_stage(self, tmp_path, capsys, name, edit, message):
+        doc = json.load(open(instance_path(name)))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(doc, **edit)))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "solution.json").exists()

@@ -55,6 +55,11 @@ class TestExpLog:
     def test_exp_q_clips(self):
         assert exp_q(-2.0, 0.0) == 0.0
 
+    def test_exp_q_keeps_nan(self):
+        assert np.isnan(exp_q(np.nan, 0.5))
+        out = exp_q([np.nan, -10.0, 0.0], 0.5)
+        assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 1.0
+
     def test_exp_q_value(self):
         assert exp_q(1.0, 0.5) == pytest.approx(2.25, abs=1e-14)
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from qoc.oracle import quadrature_moments, quadrature_normalization
 from qoc.qgaussian import QGaussian
@@ -53,6 +53,35 @@ class TestDensity:
             np.log(unit.normalizer()) + (m / 2.0) * np.log(0.01), rel=1e-12
         )
         assert np.isfinite(small.density(np.zeros(m)))
+
+
+class TestClosedFormEntropies:
+    """n = 2 closed forms against a quadrature of powers of the density."""
+
+    @staticmethod
+    def integral_of_power(g, power):
+        # whitened polar coordinates x = mu + L (r cos t, r sin t) map the support onto a disk
+        chol = np.linalg.cholesky(g.sigma)
+
+        def f(r, t):
+            return g.density(g.mu + chol @ [r * np.cos(t), r * np.sin(t)]) ** power * r
+
+        radius = np.sqrt(g.support_threshold)
+        val, _ = integrate.dblquad(f, 0.0, 2.0 * np.pi, 0.0, radius, epsrel=1e-8)
+        return val * np.linalg.det(chol)
+
+    @pytest.mark.parametrize("q", [0.3, 0.7])
+    def test_correlated_2d(self, q):
+        g = QGaussian([0.2, -0.1], [[0.8, 0.3], [0.3, 0.5]], q)
+        # int phi log_q phi = (int phi^{2-q} - 1)/(1-q); int phi^q log_q phi = (1 - int phi^q)/(1-q)
+        plogq = (self.integral_of_power(g, 2.0 - q) - 1.0) / (1.0 - q)
+        assert g.deformed_entropy() == pytest.approx(-(plogq - 1.0) / (2.0 - q), rel=1e-4)
+        plogq = (1.0 - self.integral_of_power(g, q)) / (1.0 - q)
+        assert g.tsallis_entropy() == pytest.approx(-(plogq - 1.0) / q, rel=1e-4)
+
+    def test_tsallis_requires_positive_q(self):
+        with pytest.raises(ValueError, match="requires q > 0"):
+            QGaussian([0.0], [[1.0]], 0.0).tsallis_entropy()
 
 
 class TestSupportRadius:

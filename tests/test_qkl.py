@@ -94,8 +94,8 @@ class TestSolve:
         sol = solve_qkl(inst)
         p_star, normalizers, value = solve_qkl_stationary(inst)
         assert np.max(np.abs(p_star - sol.controlled_matrices[0])) < 1e-8
-        z_stat = relative_values(value, normalizers)
-        z_full = relative_values(sol.values[1], sol.normalizers[0], 0, inst.lam)
+        z_stat = relative_values(value, normalizers, lam=inst.lam)
+        z_full = relative_values(sol.values[1], sol.normalizers[0], 0, lam=inst.lam)
         assert np.max(np.abs(z_stat - z_full)) < 1e-8
 
 
@@ -104,7 +104,7 @@ class TestStationaryRing:
 
     def test_relative_values(self):
         p_star, normalizers, value = solve_qkl_stationary(ring_instance())
-        z = relative_values(value, normalizers)
+        z = relative_values(value, normalizers, lam=1.0)
         assert np.allclose(z, [0.951, -0.049, -2.293, -2.345], atol=1e-3)
 
     def test_value_differences(self):
@@ -117,7 +117,7 @@ class TestStationaryRing:
         # structural zero inherited from the passive chain
         assert p_star[2, 0] == 0.0
         # induced zero: the clip point is crossed for the costliest state
-        z = relative_values(value, normalizers)
+        z = relative_values(value, normalizers, lam=1.0)
         assert 1.0 + 0.75 * z[3] < 0
         assert p_star[3, 0] == 0.0
         assert np.isclose(1.0 + 0.75 * z[3], -0.759, atol=1e-3)

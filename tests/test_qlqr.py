@@ -7,8 +7,6 @@ from qoc.qgaussian import QGaussian
 from qoc.qlqr import (
     QlqrInstance,
     expected_quadratic_cost,
-    policy_entropy,
-    policy_tsallis_entropy,
     simulate_closed_loop,
     solve_qlqr,
     solve_qlqr_stationary,
@@ -269,7 +267,7 @@ class TestMetrics:
         dens = np.array([g.density([x]) for x in xs])
         plogq = np.sum(h * dens * (dens ** (1.0 - q) - 1.0) / (1.0 - q))
         expected = -(plogq - 1.0) / (2.0 - q)
-        assert policy_entropy([[sigma]], q) == pytest.approx(expected, rel=1e-5)
+        assert QGaussian([0.0], [[sigma]], q).deformed_entropy() == pytest.approx(expected, rel=1e-5)
 
     def test_policy_tsallis_matches_discretization(self):
         sigma, q = 0.03, 0.3
@@ -280,12 +278,12 @@ class TestMetrics:
         dens = np.array([g.density([x]) for x in xs])
         plogq = np.sum(h * dens**q * (dens ** (1.0 - q) - 1.0) / (1.0 - q))
         expected = -(plogq - 1.0) / q
-        assert policy_tsallis_entropy([[sigma]], q) == pytest.approx(expected, rel=1e-4)
+        assert QGaussian([0.0], [[sigma]], q).tsallis_entropy() == pytest.approx(expected, rel=1e-4)
 
     def test_entropies_agree_in_shannon_limit(self):
         sigma = 0.05
-        a = policy_entropy([[sigma]], 0.999)
-        b = policy_tsallis_entropy([[sigma]], 0.999)
+        a = QGaussian([0.0], [[sigma]], 0.999).deformed_entropy()
+        b = QGaussian([0.0], [[sigma]], 0.999).tsallis_entropy()
         differential = 0.5 * np.log(2.0 * np.pi * np.e * sigma)
         assert a == pytest.approx(differential + 1.0, abs=2e-3)
         assert b == pytest.approx(differential + 1.0, abs=2e-3)
