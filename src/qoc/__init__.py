@@ -32,7 +32,6 @@ from .qlqr import (
     solve_qlqr,
     solve_qlqr_stationary,
     support_envelope,
-    sweep_q,
 )
 from .troc import FiniteTrocInstance, TrocSolution, evaluate_policy, solve_troc
 

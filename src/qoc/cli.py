@@ -162,19 +162,26 @@ def cmd_simulate(args):
     if len(getattr(sol, SOLVERS[kind][1])) < args.steps:
         print("solution horizon shorter than requested steps", file=sys.stderr)
         return EXIT_INFEASIBLE
+    if kind == "qlqr":
+        # both results exist before any file is written, so an overflow writes nothing
+        try:
+            lower, upper = qlqr.support_envelope(instance, sol, args.steps)
+            if args.trajectories > 0:
+                states, inputs = qlqr.simulate_closed_loop(
+                    instance, sol, args.trajectories, args.steps, args.seed
+                )
+        except (ValueError, RuntimeError) as exc:
+            print(f"simulation infeasible: {exc}", file=sys.stderr)
+            return EXIT_INFEASIBLE
     out = _out_dir(args)
     files = []
     if kind == "qlqr":
-        lower, upper = qlqr.support_envelope(instance, sol, args.steps)
         env_path = os.path.join(out, "envelope.csv")
         n = instance.state_dim
         header = ["stage"] + [f"lower{i}" for i in range(n)] + [f"upper{i}" for i in range(n)]
         qio.write_csv(env_path, header, np.column_stack([np.arange(args.steps + 1), lower, upper]))
         files.append(env_path)
         if args.trajectories > 0:
-            states, inputs = qlqr.simulate_closed_loop(
-                instance, sol, args.trajectories, args.steps, args.seed
-            )
             traj_path = os.path.join(out, "trajectories.csv")
             header = (
                 ["stage", "trajectory"]

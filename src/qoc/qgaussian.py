@@ -1,7 +1,9 @@
 """Multivariate q-Gaussian distribution with bounded elliptical support."""
 
+from functools import cached_property
+from math import lgamma
+
 import numpy as np
-from scipy.special import gammaln
 
 from .deformed import _as_q, exp_q
 
@@ -24,8 +26,9 @@ def _log_ball_integral(half_logdet, n, pi_scale, a):
     That is det(S)^{1/2} (pi t)^{n/2} Gamma(a) / Gamma(a + n/2), given
     half_logdet = log det(S) / 2 and pi_scale = pi t.  Z_q, the Tsallis
     entropy and the eta of the quadratic ent-max are all this integral.
+    Every argument is a scalar.
     """
-    return half_logdet + (n / 2.0) * np.log(pi_scale) + gammaln(a) - gammaln(a + n / 2.0)
+    return half_logdet + (n / 2.0) * np.log(pi_scale) + lgamma(a) - lgamma(a + n / 2.0)
 
 
 def _check_spd(matrix, what):
@@ -81,9 +84,14 @@ class QGaussian:
             0.5 * np.linalg.slogdet(self.sigma)[1], self.dim, np.pi * self.support_threshold, a
         )
 
-    def normalizer(self):
-        """Normalization constant Z_q, summed in log space so det(sigma) cannot underflow."""
+    @cached_property
+    def _normalizer(self):
+        """Z_q, computed on first use and summed in log space so det(sigma) cannot underflow."""
         return np.exp(self._log_ball((2.0 - self.q) / (1.0 - self.q)))
+
+    def normalizer(self):
+        """Normalization constant Z_q."""
+        return self._normalizer
 
     def deformed_entropy(self):
         """Closed-form deformed q-entropy: int phi^{2-q} = Z^{q-1} (1 - n(1-q)/((n+4)-(n+2)q))."""
@@ -112,7 +120,7 @@ class QGaussian:
         x = np.asarray(x, dtype=float)
         scalar = x.ndim <= 1
         s = self.mahalanobis_sq(x)
-        val = exp_q(-s / _deformation_scale(self.dim, self.q), self.q) / self.normalizer()
+        val = exp_q(-s / _deformation_scale(self.dim, self.q), self.q) / self._normalizer
         val = np.atleast_1d(val)
         return float(val[0]) if scalar else val
 

@@ -24,7 +24,6 @@ __all__ = [
     "support_envelope",
     "expected_quadratic_cost",
     "sweep_metrics",
-    "sweep_q",
 ]
 
 # the stationary Riccati iteration stops once no entry of Pi moves by this much
@@ -107,7 +106,7 @@ def _riccati_step(pi_next, a, b, q_cost, s_cost, r_cost):
     if np.any(np.linalg.eigvalsh(r_sym) <= 0):
         raise ValueError("effective input cost lost positive definiteness")
     gain = -np.linalg.solve(r_t, s_t.T)
-    pi = q_t - s_t @ np.linalg.solve(r_t, s_t.T)
+    pi = q_t + s_t @ gain
     pi = 0.5 * (pi + pi.T)
     _check_finite("Riccati matrices", gain, pi)
     return pi, gain, r_sym
@@ -191,6 +190,7 @@ def simulate_closed_loop(instance, solution, num_trajectories, steps, seed):
     child sequence per stage), so results are reproducible and independent
     across stages.  Returns (states, inputs) with shapes
     (steps+1, num_trajectories, n) and (steps, num_trajectories, m).
+    A stage whose states or inputs overflow float64 raises ValueError.
     """
     n, m = instance.state_dim, instance.input_dim
     states = np.zeros((steps + 1, num_trajectories, n))
@@ -198,11 +198,13 @@ def simulate_closed_loop(instance, solution, num_trajectories, steps, seed):
     states[0] = instance.initial_state
     children = np.random.SeedSequence(seed).spawn(steps)
     for k in range(steps):
-        gain = _stage(solution.gains, k)
-        noise = _noise(instance, solution, k).sample(num_trajectories, children[k])
-        u = states[k] @ gain.T + noise
-        inputs[k] = u
-        states[k + 1] = states[k] @ instance.a.T + u @ instance.b.T
+        with _solver_stage(f"stage {k}"):
+            gain = _stage(solution.gains, k)
+            noise = _noise(instance, solution, k).sample(num_trajectories, children[k])
+            u = states[k] @ gain.T + noise
+            inputs[k] = u
+            states[k + 1] = states[k] @ instance.a.T + u @ instance.b.T
+            _check_finite("states or inputs", u, states[k + 1])
     return states, inputs
 
 
@@ -214,7 +216,8 @@ def support_envelope(instance, solution, steps):
     minimum-trace outer approximation of the Minkowski sum.  For n = 1,
     intervals of squared half-widths m1 and m2 sum to (sqrt(m1) + sqrt(m2))^2,
     so the bounds are the exact interval recursion.  Returns (lower, upper)
-    arrays of shape (steps+1, n).
+    arrays of shape (steps+1, n); a stage whose bounds overflow float64
+    raises ValueError.
     """
     n = instance.state_dim
     lower = np.zeros((steps + 1, n))
@@ -224,14 +227,16 @@ def support_envelope(instance, solution, steps):
     lower[0] = upper[0] = center
     thresh = _support_threshold(instance.input_dim, instance.q)
     for k in range(steps):
-        f = instance.a + instance.b @ _stage(solution.gains, k)
-        center = f @ center
-        mapped = f @ shape @ f.T
-        noise_shape = thresh * instance.b @ _stage(solution.noise_covariances, k) @ instance.b.T
-        shape = _ellipsoid_sum(mapped, noise_shape)
-        half = np.sqrt(np.maximum(np.diag(shape), 0.0))
-        lower[k + 1] = center - half
-        upper[k + 1] = center + half
+        with _solver_stage(f"stage {k}"):
+            f = instance.a + instance.b @ _stage(solution.gains, k)
+            center = f @ center
+            mapped = f @ shape @ f.T
+            noise_shape = thresh * instance.b @ _stage(solution.noise_covariances, k) @ instance.b.T
+            shape = _ellipsoid_sum(mapped, noise_shape)
+            half = np.sqrt(np.maximum(np.diag(shape), 0.0))
+            lower[k + 1] = center - half
+            upper[k + 1] = center + half
+            _check_finite("envelope", shape, lower[k + 1], upper[k + 1])
     return lower, upper
 
 
@@ -280,18 +285,3 @@ def sweep_metrics(instance, solution, steps):
         "support_radius": float(np.max(solution.support_radii[0])),
     }
 
-
-def sweep_q(make_instance, q_grid, steps=50):
-    """Solve the stationary problem for each q and tabulate metrics.
-
-    ``make_instance`` maps q to a QlqrInstance.  Returns a list of dicts
-    with keys q, cost, entropy, tsallis_entropy, support_radius.
-    """
-    rows = []
-    for q in q_grid:
-        instance = make_instance(q)
-        sol = solve_qlqr_stationary(instance)
-        metrics = sweep_metrics(instance, sol, steps)
-        tsallis = _noise(instance, sol, 0).tsallis_entropy() if instance.q > 0 else float("nan")
-        rows.append({"q": float(q), **metrics, "tsallis_entropy": tsallis})
-    return rows

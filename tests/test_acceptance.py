@@ -26,7 +26,7 @@ from qoc.qlqr import (
     simulate_closed_loop,
     solve_qlqr_stationary,
     support_envelope,
-    sweep_q,
+    sweep_metrics,
 )
 from qoc.troc import FiniteTrocInstance, evaluate_policy, solve_troc
 
@@ -65,6 +65,30 @@ def scalar_qlqr(q, lam, horizon=100):
         initial_state=[1.0],
     )
 
+
+def sweep_q(make_instance, q_grid, steps=50):
+    """Solve the stationary problem for each q and tabulate metrics.
+
+    ``make_instance`` maps q to a QlqrInstance.  Returns a list of dicts
+    with keys q, cost, entropy, tsallis_entropy, support_radius.
+    """
+    rows = []
+    for q in q_grid:
+        instance = make_instance(q)
+        sol = solve_qlqr_stationary(instance)
+        metrics = sweep_metrics(instance, sol, steps)
+        noise = QGaussian(np.zeros(instance.input_dim), sol.noise_covariances[0], instance.q)
+        tsallis = noise.tsallis_entropy() if instance.q > 0 else float("nan")
+        rows.append({"q": float(q), **metrics, "tsallis_entropy": tsallis})
+    return rows
+
+
+def test_sweep_has_expected_columns():
+    rows = sweep_q(lambda q: scalar_qlqr(q, 0.01, horizon=10), [0.1, 0.5], steps=10)
+    assert [r["q"] for r in rows] == [0.1, 0.5]
+    for r in rows:
+        for key in ("cost", "entropy", "tsallis_entropy", "support_radius"):
+            assert np.isfinite(r[key])
 
 def test_acceptance_1_network_reference_values(capsys):
     # 4-state ring, q = 0.25: sparsity pattern plus fixed relative values

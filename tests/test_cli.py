@@ -513,3 +513,19 @@ class TestOverflow:
             assert run(["solve", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "solution.json").exists()
+
+    def test_simulate_exits_2_naming_the_stage(self, tmp_path, capsys):
+        # zero costs give a zero gain, so the state grows by a = 1e100 per stage
+        doc = json.load(open(instance_path("qlqr_scalar.json")))
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(doc, a=1e100, q_cost=0.0, terminal_cost=0.0, horizon=5)))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve", str(path), "--out", str(out)]) == 0
+            argv = ["simulate", str(path), str(out / "solution.json"), "--steps", "5",
+                    "--trajectories", "3", "--out", str(out)]
+            assert run(argv) == 2
+        assert "stage 2: envelope overflowed float64" in capsys.readouterr().err
+        assert not (out / "envelope.csv").exists()
+        assert not (out / "trajectories.csv").exists()

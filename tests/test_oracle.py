@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,3 +107,14 @@ def test_oracle_is_independent_of_the_solvers():
             assert imports == set()
         else:
             assert "oracle" not in imports, path.name
+
+
+def test_runtime_imports_no_scipy():
+    """scipy is a test dependency: importing qoc and its CLI loads none of it."""
+    src = str(Path(qoc.__file__).parent.parent)
+    code = "import sys, qoc, qoc.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"

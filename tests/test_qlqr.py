@@ -11,7 +11,6 @@ from qoc.qlqr import (
     solve_qlqr,
     solve_qlqr_stationary,
     support_envelope,
-    sweep_q,
 )
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
@@ -215,6 +214,32 @@ class TestSimulation:
         beta = sol.support_radii[0][0]
         assert width[-1] / 2.0 == pytest.approx(beta / (1.0 - abs(f)), abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst, sol: simulate_closed_loop(inst, sol, 3, 5, seed=0),
+            lambda inst, sol: support_envelope(inst, sol, 5),
+        ],
+        ids=["trajectories", "envelope"],
+    )
+    def test_overflow_names_the_stage(self, run):
+        # zero costs give a zero gain, so x grows by a = 1e100 per stage
+        inst = QlqrInstance(
+            a=1e100,
+            b=1.0,
+            q_cost=0.0,
+            s_cost=0.0,
+            r_cost=1.0,
+            terminal_cost=0.0,
+            horizon=5,
+            lam=0.01,
+            q=0.25,
+            initial_state=[1.0],
+        )
+        sol = solve_qlqr(inst)
+        with pytest.raises(ValueError, match=r"^stage \d: .* overflowed float64"):
+            run(inst, sol)
+
 
 def interval_envelope(inst, sol, steps):
     """Scalar reference: centre f c and radius |f| r + |b| beta from the point x0."""
@@ -298,10 +323,3 @@ class TestMetrics:
             + np.mean(xs[-1, :, 0] ** 2)
         )
         assert mc == pytest.approx(exact, rel=0.01)
-
-    def test_sweep_has_expected_columns(self):
-        rows = sweep_q(lambda q: scalar_instance(q=q, horizon=10), [0.1, 0.5], steps=10)
-        assert [r["q"] for r in rows] == [0.1, 0.5]
-        for r in rows:
-            for key in ("cost", "entropy", "tsallis_entropy", "support_radius"):
-                assert np.isfinite(r[key])
