@@ -31,68 +31,104 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_INSTANCE, f"{self.prog}: error: {message}\n")
 
 
-# kind -> (solver, solution field also written as <field>.csv, sweep metrics).
-# The lambdas look each function up at call time, so a rebound module
-# attribute is honoured.
+def _simulate_qkl(instance, sol, steps, trajectories, seed):
+    """trajectories.csv: the state of every rollout at every stage."""
+    seeds = [(seed, t) for t in range(trajectories)]
+    paths = qkl.rollout(instance, sol.controlled_matrices, steps, seeds)
+    trajectory, stage = np.indices(paths.shape)
+    table = np.column_stack([stage.ravel(), trajectory.ravel(), paths.ravel()])
+    return {"trajectories.csv": (["stage", "trajectory", "state"], table)}
+
+
+def _simulate_qlqr(instance, sol, steps, trajectories, seed):
+    """envelope.csv, then trajectories.csv unless no trajectory is asked for."""
+    n, m = instance.state_dim, instance.input_dim
+    lower, upper = qlqr.support_envelope(instance, sol, steps)
+    header = ["stage"] + [f"lower{i}" for i in range(n)] + [f"upper{i}" for i in range(n)]
+    outputs = {"envelope.csv": (header, np.column_stack([np.arange(steps + 1), lower, upper]))}
+    if trajectories > 0:
+        states, inputs = qlqr.simulate_closed_loop(instance, sol, trajectories, steps, seed)
+        header = ["stage", "trajectory"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
+        index = np.indices(states.shape[:2]).reshape(2, -1).T
+        table = np.hstack([index, states.reshape(-1, n)])
+        # the last stage has no input, so its rows end in empty cells
+        split = steps * trajectories
+        rows = np.hstack([table[:split], inputs.reshape(split, m)])
+        outputs["trajectories.csv"] = (header, rows, table[split:])
+    return outputs
+
+
+# kind -> (solver, solution field also written as <field>.csv, sweep metrics,
+# simulation outputs or None).  The lambdas look each function up at call
+# time, so a rebound module attribute is honoured.
 SOLVERS = {
     "qkl": (lambda instance: qkl.solve_qkl(instance), "controlled_matrices",
-            lambda instance, sol: qkl.sweep_metrics(instance, sol)),
+            lambda instance, sol: qkl.sweep_metrics(instance, sol), _simulate_qkl),
     "troc": (lambda instance: troc.solve_troc(instance), "policy",
-             lambda instance, sol: troc.sweep_metrics(instance, sol)),
+             lambda instance, sol: troc.sweep_metrics(instance, sol), None),
     "qlqr": (lambda instance: qlqr.solve_qlqr(instance), "gains",
-             lambda instance, sol: qlqr.sweep_metrics(instance, sol, instance.horizon)),
+             lambda instance, sol: qlqr.sweep_metrics(instance, sol, instance.horizon),
+             _simulate_qlqr),
 }
-
-
-def _out_dir(args):
-    out = args.out or os.environ.get(qio.OUTPUT_DIR_ENV) or "."
-    os.makedirs(out, exist_ok=True)
-    return out
 
 
 def _overrides(args):
     return {"q": args.q, "lambda": args.lam, "horizon": args.horizon}
 
 
-def _bundle(args, instance_path, files, extra=None):
-    meta = {
-        "instance": os.path.abspath(instance_path),
-        "instance_sha256": qio.file_checksum(instance_path),
-        "overrides": {k: v for k, v in _overrides(args).items() if v is not None},
-        "seed": args.seed,
-        "manifest": [
-            {"path": os.path.abspath(f), "sha256": qio.file_checksum(f)} for f in files
-        ],
-    }
-    if extra:
-        meta.update(extra)
-    return meta
+def _emit(args, outputs, extra):
+    """Write each output, then result_bundle.json listing them; returns the directory.
+
+    ``outputs`` maps file name to content, written in order: a dict as
+    JSON, a ``(header, *tables)`` tuple as CSV.  The bundle's manifest
+    keeps that order; ``extra`` adds fields to the bundle.
+    """
+    out = args.out or os.environ.get(qio.OUTPUT_DIR_ENV) or "."
+    try:
+        os.makedirs(out, exist_ok=True)
+        paths = [os.path.join(out, name) for name in outputs]
+        for path, content in zip(paths, outputs.values()):
+            if isinstance(content, dict):
+                qio.write_json(path, content)
+            else:
+                qio.write_csv(path, *content)
+        bundle = {
+            "instance": os.path.abspath(args.instance),
+            "instance_sha256": qio.file_checksum(args.instance),
+            "overrides": {k: v for k, v in _overrides(args).items() if v is not None},
+            "seed": args.seed,
+            "manifest": [
+                {"path": os.path.abspath(p), "sha256": qio.file_checksum(p)} for p in paths
+            ],
+            **extra,
+        }
+        qio.write_json(os.path.join(out, "result_bundle.json"), bundle)
+    except OSError as exc:
+        raise UsageError(f"cannot write outputs to {out}: {exc.strerror or exc}") from None
+    return out
 
 
-def _write_stage_matrices(path, stack):
-    """One CSV with (stage, row, columns...) per entry of a stage-indexed stack."""
+def _stage_matrices(stack):
+    """CSV header and table with (stage, row, columns...) per entry of a stage-indexed stack."""
     stages, rows, cols = stack.shape
     index = np.indices((stages, rows)).reshape(2, -1).T
     header = ["stage", "row"] + [f"c{j}" for j in range(cols)]
-    qio.write_csv(path, header, np.hstack([index, stack.reshape(-1, cols)]))
+    return header, np.hstack([index, stack.reshape(-1, cols)])
 
 
 def cmd_solve(args):
     kind, instance = qio.load_instance(args.instance, _overrides(args))
-    solve, csv_field, _ = SOLVERS[kind]
+    solve, csv_field, _, _ = SOLVERS[kind]
     try:
         sol = solve(instance)
     except (ValueError, RuntimeError) as exc:
         print(f"solver infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    out = _out_dir(args)
-    solution_path = os.path.join(out, "solution.json")
-    qio.write_json(solution_path, qio.solution_to_dict(kind, sol))
-    csv_path = os.path.join(out, f"{csv_field}.csv")
-    _write_stage_matrices(csv_path, getattr(sol, csv_field))
-    files = [solution_path, csv_path]
-    bundle_path = os.path.join(out, "result_bundle.json")
-    qio.write_json(bundle_path, _bundle(args, args.instance, files, {"kind": kind}))
+    outputs = {
+        "solution.json": qio.solution_to_dict(kind, sol),
+        f"{csv_field}.csv": _stage_matrices(getattr(sol, csv_field)),
+    }
+    out = _emit(args, outputs, {"kind": kind})
     print(f"solved {kind} instance; outputs in {out}")
     return 0
 
@@ -125,7 +161,7 @@ def cmd_sweep(args):
         overrides["q" if args.parameter == "q" else "lambda"] = float(value)
         try:
             kind, instance = qio.build_instance(doc, overrides)
-            solve, _, metrics = SOLVERS[kind]
+            solve, _, metrics, _ = SOLVERS[kind]
             point = metrics(instance, solve(instance))
             rows.append([float(value)] + [point.get(name, 0) for name in header[1:]])
         except (qio.InstanceError, ValueError, RuntimeError) as exc:
@@ -133,20 +169,14 @@ def cmd_sweep(args):
             print(f"sweep point {value} failed: {exc}", file=sys.stderr)
     if not rows:  # a document at fault fails every point: say so as malformed input
         qio.build_instance(doc, _overrides(args))
-    out = _out_dir(args)
-    csv_path = os.path.join(out, "sweep.csv")
-    qio.write_csv(csv_path, header, np.reshape(rows, (-1, len(header))))
-    bundle_path = os.path.join(out, "result_bundle.json")
-    qio.write_json(
-        bundle_path,
-        _bundle(args, args.instance, [csv_path], {"parameter": args.parameter}),
-    )
+    table = np.reshape(rows, (-1, len(header)))
+    _emit(args, {"sweep.csv": (header, table)}, {"parameter": args.parameter})
     print(f"sweep over {args.parameter}: {len(rows)} points, {failures} failures")
     return 0 if failures == 0 else EXIT_INFEASIBLE
 
 
 def cmd_simulate(args):
-    for name in ("steps", "trajectories"):
+    for name in ("steps", "trajectories", "seed"):
         if getattr(args, name) < 0:
             raise UsageError(f"--{name} must be non-negative, got {getattr(args, name)}")
     kind, instance = qio.load_instance(args.instance, _overrides(args))
@@ -154,60 +184,22 @@ def cmd_simulate(args):
     if doc.get("kind") != kind:
         print("instance/solution kind mismatch", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if kind == "troc":
+    _, csv_field, _, simulate = SOLVERS[kind]
+    if simulate is None:
         print("simulate supports qkl and qlqr solutions", file=sys.stderr)
         return EXIT_INFEASIBLE
     sol = qio.solution_from_dict(doc, instance)
     # the per-stage CSV field has one entry per stage of the solution's horizon
-    if len(getattr(sol, SOLVERS[kind][1])) < args.steps:
+    if len(getattr(sol, csv_field)) < args.steps:
         print("solution horizon shorter than requested steps", file=sys.stderr)
         return EXIT_INFEASIBLE
-    if kind == "qlqr":
-        # both results exist before any file is written, so an overflow writes nothing
-        try:
-            lower, upper = qlqr.support_envelope(instance, sol, args.steps)
-            if args.trajectories > 0:
-                states, inputs = qlqr.simulate_closed_loop(
-                    instance, sol, args.trajectories, args.steps, args.seed
-                )
-        except (ValueError, RuntimeError) as exc:
-            print(f"simulation infeasible: {exc}", file=sys.stderr)
-            return EXIT_INFEASIBLE
-    out = _out_dir(args)
-    files = []
-    if kind == "qlqr":
-        env_path = os.path.join(out, "envelope.csv")
-        n = instance.state_dim
-        header = ["stage"] + [f"lower{i}" for i in range(n)] + [f"upper{i}" for i in range(n)]
-        qio.write_csv(env_path, header, np.column_stack([np.arange(args.steps + 1), lower, upper]))
-        files.append(env_path)
-        if args.trajectories > 0:
-            traj_path = os.path.join(out, "trajectories.csv")
-            header = (
-                ["stage", "trajectory"]
-                + [f"x{i}" for i in range(n)]
-                + [f"u{i}" for i in range(instance.input_dim)]
-            )
-            index = np.indices(states.shape[:2]).reshape(2, -1).T
-            table = np.hstack([index, states.reshape(-1, n)])
-            # the last stage has no input, so its rows end in empty cells
-            split = args.steps * args.trajectories
-            inputs = inputs.reshape(split, instance.input_dim)
-            qio.write_csv(traj_path, header, np.hstack([table[:split], inputs]), table[split:])
-            files.append(traj_path)
-    else:
-        seeds = [(args.seed, t) for t in range(args.trajectories)]
-        paths = qkl.rollout(instance, sol.controlled_matrices, args.steps, seeds)
-        trajectory, stage = np.indices(paths.shape)
-        traj_path = os.path.join(out, "trajectories.csv")
-        qio.write_csv(
-            traj_path,
-            ["stage", "trajectory", "state"],
-            np.column_stack([stage.ravel(), trajectory.ravel(), paths.ravel()]),
-        )
-        files.append(traj_path)
-    bundle_path = os.path.join(out, "result_bundle.json")
-    qio.write_json(bundle_path, _bundle(args, args.instance, files, {"kind": kind}))
+    # every result exists before any file is written, so a failed simulation writes nothing
+    try:
+        outputs = simulate(instance, sol, args.steps, args.trajectories, args.seed)
+    except (ValueError, RuntimeError) as exc:
+        print(f"simulation infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    out = _emit(args, outputs, {"kind": kind})
     print(f"simulation outputs in {out}")
     return 0
 

@@ -63,12 +63,6 @@ class DiscreteDistribution:
         """Indices with strictly positive probability."""
         return np.flatnonzero(self.weights > 0)
 
-    def __len__(self):
-        return self.weights.size
-
-    def __getitem__(self, i):
-        return self.weights[i]
-
     def __repr__(self):
         return f"DiscreteDistribution({self.weights.tolist()})"
 

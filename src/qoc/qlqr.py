@@ -92,10 +92,6 @@ class QlqrSolution:
     etas: np.ndarray  # (T,)
     support_radii: np.ndarray  # (T, m) noise support bound per principal axis
 
-    @property
-    def horizon(self):
-        return self.gains.shape[0]
-
 
 def _riccati_step(pi_next, a, b, q_cost, s_cost, r_cost):
     r_t = r_cost + b.T @ pi_next @ b
@@ -173,8 +169,12 @@ def solve_qlqr_stationary(instance):
 
 
 def _stage(arr, k):
-    """Stage k of a per-stage array, clamping for stationary solutions."""
-    return arr[min(k, arr.shape[0] - 1)]
+    """Stage k of a per-stage array; a stationary solution's one stage serves every k."""
+    if arr.shape[0] == 1:
+        return arr[0]
+    if k >= arr.shape[0]:
+        raise ValueError(f"a {arr.shape[0]}-stage solution has no stage {k}")
+    return arr[k]
 
 
 def _noise(instance, solution, k):

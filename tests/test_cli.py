@@ -111,6 +111,8 @@ class TestBadNumbers:
             ("qlqr_scalar.json", "--steps", "-1"),
             ("qkl_ring4.json", "--trajectories", "-2"),
             ("qlqr_scalar.json", "--trajectories", "-2"),
+            ("qkl_ring4.json", "--seed", "-1"),
+            ("qlqr_scalar.json", "--seed", "-1"),
         ],
     )
     def test_simulate_rejects_negative_counts(self, tmp_path, capsys, name, flag, value):
@@ -131,6 +133,27 @@ class TestBadNumbers:
         args = ["sweep", str(tmp_path / "missing.json"), "--grid", "0.2,0.4", "--out", str(tmp_path)]
         assert run(args) == 1
         assert capsys.readouterr().err.startswith("error: cannot read instance file")
+
+
+class TestUnusableOut:
+    """An --out that cannot hold the outputs exits 1 with one error line and leaves it as it was."""
+
+    @pytest.mark.parametrize("command", ["solve", "sweep", "simulate"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_out_naming_a_regular_file(self, tmp_path, capsys, command, below):
+        name = "qlqr_scalar.json"
+        solution = str(tmp_path / "solution.json")
+        assert run(["solve", instance_path(name), "--out", str(tmp_path)]) == 0
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep me\n")
+        out = str(blocker / "sub") if below else str(blocker)
+        extra = {"solve": [], "sweep": ["--grid", "0.2,0.4"], "simulate": [solution, "--steps", "3"]}
+        capsys.readouterr()
+        assert run([command, instance_path(name), *extra[command], "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs to {out}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert blocker.read_text() == "keep me\n"
 
 
 class TestUsageErrors:
@@ -332,6 +355,23 @@ class TestSimulate:
             ]
         )
         assert code == 2
+
+    def test_troc_is_refused_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["solve", instance_path("troc_small.json"), "--out", str(tmp_path)]) == 0
+        solution = str(tmp_path / "solution.json")
+        assert run(["simulate", instance_path("troc_small.json"), solution, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "simulate supports qkl and qlqr solutions\n"
+        assert not out.exists()
+
+    def test_qkl_zero_trajectories_writes_the_header_only(self, tmp_path):
+        out = str(tmp_path)
+        assert run(["solve", instance_path("qkl_ring4.json"), "--out", out]) == 0
+        args = ["simulate", instance_path("qkl_ring4.json"), os.path.join(out, "solution.json")]
+        assert run(args + ["--out", out, "--trajectories", "0", "--steps", "3"]) == 0
+        assert open(os.path.join(out, "trajectories.csv")).read() == "stage,trajectory,state\n"
+        bundle = json.load(open(os.path.join(out, "result_bundle.json")))
+        assert [os.path.basename(e["path"]) for e in bundle["manifest"]] == ["trajectories.csv"]
 
     def test_horizon_too_short(self, tmp_path, capsys):
         out = str(tmp_path)

@@ -240,6 +240,23 @@ class TestSimulation:
         with pytest.raises(ValueError, match=r"^stage \d: .* overflowed float64"):
             run(inst, sol)
 
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda inst, sol: simulate_closed_loop(inst, sol, 3, 6, seed=0),
+            lambda inst, sol: support_envelope(inst, sol, 6),
+            lambda inst, sol: expected_quadratic_cost(inst, sol, 6),
+        ],
+        ids=["trajectories", "envelope", "cost"],
+    )
+    def test_short_finite_solution_raises(self, run):
+        inst = scalar_instance(horizon=5)
+        sol = solve_qlqr(inst)
+        with pytest.raises(ValueError, match="a 5-stage solution has no stage 5"):
+            run(inst, sol)
+        # the stationary solution's one stage serves every step
+        run(inst, solve_qlqr_stationary(inst))
+
 
 def interval_envelope(inst, sol, steps):
     """Scalar reference: centre f c and radius |f| r + |b| beta from the point x0."""
