@@ -35,6 +35,8 @@ __all__ = [
     "deformation_eta",
 ]
 
+ROOT_MAX_ITER = 100  # Newton steps per row; well-posed rows take at most about 10
+
 
 @dataclass(frozen=True)
 class EntmaxResult:
@@ -81,14 +83,14 @@ def entmax_rows(costs, weights, lam, q):
     otherwise the objective is <costs, phi> + lam * D_q(phi || w), zero
     weights stay exactly zero and costs there are ignored.
 
-    The root is bracketed in closed form.  With s = costs / lam on the
-    support, s* = min s and W = sum w, the shifted normalizer c' = C - s*
-    lies in [log_q(1/W), min_i (s_i - s* + log_q(1/w_i))]: at the lower
-    end every term is at most w_i / W, and at the upper end one term alone
-    is w_i exp_q(log_q(1/w_i)) = 1.  The upper end is at most log_q(1/w*),
-    w* the weight at the argmin of s, and no exp_q argument exceeds it, so
-    nothing overflows.  All rows bisect together; each stops once
-    hi - lo < 1e-15 (1 + |mid|).
+    Term i alone reaches 1 at C = costs_i / lam + log_q(1/w_i); j is the row's
+    smallest such end.  Newton on d = C - costs_j / lam for g(d) = sum_i w_i
+    exp_q(d - (costs_i - costs_j) / lam) - 1, increasing and convex for q < 1,
+    starts at exactly log_q(1/w_j), where g >= 0 and no term exceeds 1 (so
+    nothing overflows), and decreases monotonically to the root; at q = 0 it
+    is the active-set sparsemax.  A row stops once g <= 0 or a step no longer
+    lowers d; one still moving after ``ROOT_MAX_ITER`` steps, or left with
+    |g| >= 1e-9, raises RuntimeError naming the row.
     """
     q = _as_q(q)
     _check_lam(lam)
@@ -112,45 +114,42 @@ def entmax_rows(costs, weights, lam, q):
         if not np.all(np.isfinite(costs[sup])):
             raise ValueError("costs must be finite on the support of weights")
     masked = np.where(sup, costs, np.inf)
-    c_min = masked.min(axis=1)
-    diff = masked - c_min[:, None]  # +inf off the support, so exp_q gives 0 there
-    gap = diff / lam  # s - s*, without rounding s = costs / lam first
-    lo = log_q(1.0 / np.sum(w, axis=1), q)
-    # term i alone reaches 1 at c' = gap_i + log_q(1/w_i); a subnormal w_i
-    # may overflow to an infinite end, which the minimum passes over
-    with np.errstate(over="ignore"):
-        ends = np.where(sup, gap + log_q(1.0 / np.where(sup, w, 1.0), q), np.inf)
-    hi = np.min(ends, axis=1)
-
-    def g(c):
-        return np.sum(w * exp_q(c[:, None] - gap, q), axis=1) - 1.0
-
-    active = np.ones(costs.shape[0], dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = g(mid) < 0.0
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active &= ~(hi - lo < 1e-15 * (1.0 + np.abs(mid)))
-        if not active.any():
-            break
-    c = 0.5 * (lo + hi)
-    residual = g(c)
-    bad = np.flatnonzero(~(np.abs(residual) < 1e-9))
+    with np.errstate(over="ignore"):  # a subnormal w_i gives an infinite end, never the argmin
+        bound = log_q(1.0 / np.where(sup, w, 1.0), q)
+    j = np.argmin((masked - masked.min(axis=1, keepdims=True)) / lam + bound, axis=1)[:, None]
+    c_j = np.take_along_axis(masked, j, axis=1)
+    diff = masked - c_j  # +inf off the support, so the terms are 0 there
+    rel = diff / lam
+    d = np.take_along_axis(bound, j, axis=1)
+    # terms are w * exp_q(d - rel) in exp_q's arithmetic; log1p(-1) = -inf gives 0 off the support
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for step in range(ROOT_MAX_ITER + 1):
+            a = (1.0 - q) * (d - rel)
+            terms = w * np.exp(np.log1p(np.maximum(a, -1.0)) / (1.0 - q))
+            total = terms.sum(axis=1, keepdims=True)
+            g = total - 1.0
+            # exp_q' = exp_q / (1 + a) is 0 off the support; base**(q/(1-q)) would give 0**0 = 1
+            slope = (terms / np.maximum(1.0 + a, 1e-300)).sum(axis=1, keepdims=True)
+            new = d - np.maximum(g, 0.0) / slope
+            moving = new < d  # a row that stops has new == d, so d = new leaves it alone
+            if not moving.any() or step == ROOT_MAX_ITER:
+                break
+            d = new
+    bad = np.flatnonzero(moving | ~(np.abs(g) < 1e-9))
     if bad.size:
         r = bad[0]
         raise RuntimeError(
-            f"normalization root did not converge in row {r}: residual {residual[r]:.3g}"
+            f"normalization root did not converge in row {r} after {step} Newton steps: "
+            f"g {g[r, 0]:.3g}"
         )
-    probs = w * exp_q(c[:, None] - gap, q)
-    probs /= probs.sum(axis=1, keepdims=True)
-    # shifted by the smallest cost, so a sum of probs off 1 by rounding barely moves it
-    expected = c_min + np.sum(probs * np.where(sup, diff, 0.0), axis=1)
+    probs = terms / total
+    # shifted by a cost on the support, so a sum of probs off 1 by rounding barely moves it
+    expected = c_j[:, 0] + np.sum(probs * np.where(sup, diff, 0.0), axis=1)
     if weights is None:
         objective = expected - lam * deformed_entropy(probs, q)
     else:
         objective = expected + lam * qkl_divergence(probs, w, q)
-    return probs, c + c_min / lam, objective
+    return probs, (d + c_j / lam)[:, 0], objective
 
 
 def _one_row(costs, weights, lam, q):

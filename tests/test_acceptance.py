@@ -12,13 +12,6 @@ import pytest
 
 from qoc.deformed import exp_q, log_q, qkl_divergence
 from qoc.entmax import entmax_discrete, entmax_quadratic, entmax_weighted
-from qoc.oracle import (
-    GridSpec,
-    brute_force_entmax,
-    brute_force_policy_search,
-    quadrature_moments,
-    quadrature_normalization,
-)
 from qoc.qgaussian import QGaussian
 from qoc.qkl import QklInstance, relative_values, solve_qkl_stationary
 from qoc.qlqr import (
@@ -29,6 +22,14 @@ from qoc.qlqr import (
     sweep_metrics,
 )
 from qoc.troc import FiniteTrocInstance, evaluate_policy, solve_troc
+
+from oracle import (
+    GridSpec,
+    brute_force_entmax,
+    brute_force_policy_search,
+    quadrature_moments,
+    quadrature_normalization,
+)
 
 RING4 = np.array(
     [

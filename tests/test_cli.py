@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import qoc.entmax
 from qoc.cli import main
 from qoc.io import InstanceError, load_instance, validate_instance_dict
 
@@ -296,6 +297,54 @@ class TestSweep:
         assert code == 2
         csv_text = open(os.path.join(out, "sweep.csv")).read()
         assert csv_text == "parameter,cost,entropy,support_radius,sparsity_count\n"
+
+
+class TestTinyPassiveWeight:
+    """A well-posed qkl instance whose cheapest successor has a negligible passive weight."""
+
+    DOC = {
+        "kind": "qkl",
+        "q": 0.5,
+        "lambda": 0.001,
+        "horizon": 2,
+        "state_cost": [0, 1e6, 2e6],
+        "passive_matrix": [[0.5, 0.5, 1e-300], [0.5, 0.5, 0.5], [0, 0, 0.5]],
+    }
+
+    def _write(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(self.DOC))
+        return str(path)
+
+    def test_solve_gives_distributions(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["solve", self._write(tmp_path), "--out", str(out)]) == 0
+        mats = np.asarray(json.load(open(out / "solution.json"))["controlled_matrices"])
+        assert mats.shape == (2, 3, 3) and np.all(mats >= 0)
+        assert np.all(np.abs(mats.sum(axis=1) - 1.0) < 1e-9)
+
+    def test_q_sweep_has_no_failure(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", self._write(tmp_path), "--grid", "0.1:0.9:5", "--out", str(out)]
+        assert run(argv) == 0
+        assert "5 points, 0 failures" in capsys.readouterr().out
+        assert len(open(out / "sweep.csv").read().strip().splitlines()) == 6
+
+
+class TestRootIterationCap:
+    """A root still moving at the cap exits 2, naming the stage, row and step count."""
+
+    @pytest.mark.parametrize("name, stage", [("troc_small.json", 3), ("qkl_ring4.json", 199)])
+    def test_solve_exits_2_naming_the_stage(self, tmp_path, capsys, monkeypatch, name, stage):
+        monkeypatch.setattr(qoc.entmax, "ROOT_MAX_ITER", 1)
+        out = tmp_path / "out"
+        assert run(["solve", instance_path(name), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"stage {stage}: normalization root did not converge in row " in err
+        assert "after 1 Newton steps: g " in err
+        assert not (out / "solution.json").exists()
 
 
 class TestSimulate:

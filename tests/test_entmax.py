@@ -3,7 +3,8 @@ import pytest
 
 from qoc.deformed import deformed_entropy, exp_q, log_q
 from qoc.entmax import entmax_discrete, entmax_quadratic, entmax_weighted
-from qoc.oracle import GridSpec, brute_force_entmax, quadrature_normalization, sparsemax
+
+from oracle import GridSpec, brute_force_entmax, quadrature_normalization, sparsemax
 
 
 def softmax(scores):

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qoc.entmax
 from qoc.deformed import exp_q, log_q
 from qoc.entmax import entmax_discrete, entmax_rows, entmax_weighted
-from qoc.oracle import GridSpec, brute_force_entmax, sparsemax
+
+from oracle import GridSpec, brute_force_entmax, sparsemax
 
 LAMS = st.floats(0.1, 10.0)
 QS = st.floats(0.0, 0.95)
@@ -124,3 +126,49 @@ def test_tiny_weights_keep_a_short_bracket(q, tiny):
         res = entmax_weighted([0.0, 1.0], [tiny, 1.0], 1.0, q)
     assert res.distribution.weights[1] == pytest.approx(1.0, abs=1e-12)
     assert res.normalizer_c == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def tiny_cheapest_rows(draw, max_rows=4, max_k=8):
+    """Rows whose cheapest entry has a weight of 1e-12 to 1e-300, far below the rest.
+
+    The cheapest entry sits up to 1e20 below the others in costs / lam, and
+    at most halfway to where its own term alone would reach 1, so the mass
+    stays on the other entries, and C - costs_cheapest / lam is as large as
+    that spread.  Costs are scaled by lam (at most 1e6 in magnitude), so C
+    and every cost the checks see stay representable at their tolerances.
+    """
+    rows = draw(st.integers(1, max_rows))
+    k = draw(st.integers(2, max_k))
+    q = draw(st.floats(0.0, 1.0 - 1e-12))
+    tiny = 10.0 ** -draw(st.floats(12.0, 300.0))
+    spread = 10.0 ** draw(st.floats(0.0, 20.0))
+    lam = min(10.0 ** draw(st.floats(-1.0, 1.0)), 1e6 / spread)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.normal(size=(rows, k)) * draw(st.floats(0.1, 5.0))
+    cheapest = np.argmin(base, axis=1)
+    at = np.arange(rows), cheapest
+    base[at] -= min(spread, 0.5 * log_q(1.0 / tiny, q))
+    weights = rng.uniform(0.01, 1.0, size=(rows, k))
+    weights[at] = tiny
+    weights /= weights.sum(axis=1, keepdims=True)
+    return (lam * base, weights), lam, q
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(tiny_cheapest_rows())
+def test_tiny_cheapest_weight_rows(case):
+    stack, lam, q = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        test_support_kkt_and_root_residual.hypothesis.inner_test(stack, lam, q)
+        test_stack_matches_rows_alone_bitwise.hypothesis.inner_test(stack, lam, q)
+
+
+def test_root_iteration_cap_names_the_row(monkeypatch):
+    costs = np.array([[0.0, 0.5, 1.0], [0.0, 0.0, 0.0]])
+    entmax_rows(costs, None, 1.0, 0.5)
+    monkeypatch.setattr(qoc.entmax, "ROOT_MAX_ITER", 1)
+    message = r"did not converge in row \d after 1 Newton steps: g \S+"
+    with pytest.raises(RuntimeError, match=message):
+        entmax_rows(costs, None, 1.0, 0.5)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from qoc.oracle import quadrature_moments, quadrature_normalization
 from qoc.qgaussian import QGaussian
+
+from oracle import quadrature_moments, quadrature_normalization
 
 
 class TestConstruction:

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qoc.deformed import deformed_entropy, tsallis_entropy
-from qoc.oracle import quadrature_moments
 from qoc.qgaussian import QGaussian
 from qoc.qlqr import (
     QlqrInstance,
@@ -12,6 +11,8 @@ from qoc.qlqr import (
     solve_qlqr_stationary,
     support_envelope,
 )
+
+from oracle import quadrature_moments
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from qoc.deformed import deformed_entropy
-from qoc.oracle import brute_force_policy_search
 from qoc.troc import FiniteTrocInstance, evaluate_policy, solve_troc
+
+from oracle import brute_force_policy_search
 
 
 def random_instance(rng, n=3, m=3, horizon=4, lam=0.5, q=0.3, time_varying=False):
