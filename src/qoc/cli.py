@@ -7,6 +7,7 @@ for a fixed seed.
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -152,23 +153,21 @@ def _grid_values(spec):
 
 def cmd_sweep(args):
     grid = _grid_values(args.grid)
-    doc = qio.read_instance(args.instance)
+    kind, base = qio.load_instance(args.instance, _overrides(args))
+    solve, _, metrics, _ = SOLVERS[kind]
+    field = "q" if args.parameter == "q" else "lam"
     header = ["parameter", "cost", "entropy", "support_radius", "sparsity_count"]
     rows = []
     failures = 0
     for value in grid:
-        overrides = _overrides(args)
-        overrides["q" if args.parameter == "q" else "lambda"] = float(value)
         try:
-            kind, instance = qio.build_instance(doc, overrides)
-            solve, _, metrics, _ = SOLVERS[kind]
+            # the instance's constructor judges the swept value
+            instance = dataclasses.replace(base, **{field: float(value)})
             point = metrics(instance, solve(instance))
             rows.append([float(value)] + [point.get(name, 0) for name in header[1:]])
-        except (qio.InstanceError, ValueError, RuntimeError) as exc:
+        except (ValueError, RuntimeError) as exc:
             failures += 1
             print(f"sweep point {value} failed: {exc}", file=sys.stderr)
-    if not rows:  # a document at fault fails every point: say so as malformed input
-        qio.build_instance(doc, _overrides(args))
     table = np.reshape(rows, (-1, len(header)))
     _emit(args, {"sweep.csv": (header, table)}, {"parameter": args.parameter})
     print(f"sweep over {args.parameter}: {len(rows)} points, {failures} failures")

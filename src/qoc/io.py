@@ -22,7 +22,6 @@ __all__ = [
     "InstanceError",
     "load_instance",
     "read_instance",
-    "build_instance",
     "validate_instance_dict",
     "solution_to_dict",
     "solution_from_dict",
@@ -142,14 +141,13 @@ def read_instance(path, what="instance"):
     return doc
 
 
-def build_instance(doc, overrides=None):
-    """Validate a parsed instance document and build it; returns (kind, instance).
+def load_instance(path, overrides=None):
+    """Read, validate and build the instance at ``path``; returns (kind, instance).
 
     ``overrides`` may set q, lambda, horizon; command-line values take
     precedence over the document's fields.  Every number must be finite.
-    ``doc`` itself is not modified.
     """
-    doc = dict(doc)
+    doc = read_instance(path)
     for key in ("q", "lambda", "horizon"):
         if overrides and overrides.get(key) is not None:
             doc[key] = overrides[key]
@@ -168,11 +166,6 @@ def build_instance(doc, overrides=None):
         return kind, cls(**args)
     except (ValueError, OverflowError) as exc:
         raise InstanceError(f"invalid {kind} instance: {exc}") from exc
-
-
-def load_instance(path, overrides=None):
-    """Read, validate and build the instance at ``path``; returns (kind, instance)."""
-    return build_instance(read_instance(path), overrides)
 
 
 def solution_to_dict(kind, solution):

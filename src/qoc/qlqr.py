@@ -111,12 +111,13 @@ def _riccati_step(pi_next, a, b, q_cost, s_cost, r_cost):
 def _package(instance, pis, gains, effective_costs):
     """Solution whose stage-k noise is the ent-max of the effective input cost."""
     sigmas, etas, radii = [], [], []
-    for r_t in effective_costs:
-        noise = entmax_quadratic(r_t, np.zeros(r_t.shape[0]), instance.lam, instance.q)
-        gaussian = noise.gaussian
-        sigmas.append(gaussian.sigma)
-        etas.append(noise.eta)
-        radii.append(np.sqrt(np.linalg.eigvalsh(gaussian.sigma) * gaussian.support_threshold))
+    for k, r_t in enumerate(effective_costs):
+        with _solver_stage(f"stage {k}"):
+            noise = entmax_quadratic(r_t, np.zeros(r_t.shape[0]), instance.lam, instance.q)
+            gaussian = noise.gaussian
+            sigmas.append(gaussian.sigma)
+            etas.append(noise.eta)
+            radii.append(np.sqrt(np.linalg.eigvalsh(gaussian.sigma) * gaussian.support_threshold))
     return QlqrSolution(
         np.asarray(pis),
         np.asarray(gains),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qoc.entmax
+import qoc.io
 from qoc.cli import main
 from qoc.io import InstanceError, load_instance, validate_instance_dict
 
@@ -298,6 +299,39 @@ class TestSweep:
         csv_text = open(os.path.join(out, "sweep.csv")).read()
         assert csv_text == "parameter,cost,entropy,support_radius,sparsity_count\n"
 
+    def test_instance_is_validated_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counting(doc):
+            calls.append(doc)
+            return validate_instance_dict(doc)
+
+        monkeypatch.setattr(qoc.io, "validate_instance_dict", counting)
+        argv = ["sweep", instance_path("qkl_ring4.json"), "--grid", "0.1:0.9:5",
+                "--out", str(tmp_path)]
+        assert run(argv) == 0
+        assert "5 points, 0 failures" in capsys.readouterr().out
+        assert len(calls) == 1
+
+    def test_swept_field_out_of_range_in_the_document_exits_1(self, tmp_path, capsys):
+        doc = json.load(open(instance_path("qkl_ring4.json")))
+        path = tmp_path / "bad_q.json"
+        path.write_text(json.dumps(dict(doc, q=1.5)))
+        out = tmp_path / "out"
+        assert run(["sweep", str(path), "--grid", "0.2,0.4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid instance at $.q") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_lambda_point_rejected_by_the_constructor(self, tmp_path, capsys):
+        argv = ["sweep", instance_path("qkl_ring4.json"), "--parameter", "lambda",
+                "--grid", "0,0.5", "--out", str(tmp_path)]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert "1 points, 1 failures" in captured.out
+        assert captured.err == "sweep point 0.0 failed: lam must be positive and finite, got 0.0\n"
+        assert len(open(tmp_path / "sweep.csv").read().strip().splitlines()) == 2
+
 
 class TestTinyPassiveWeight:
     """A well-posed qkl instance whose cheapest successor has a negligible passive weight."""
@@ -559,6 +593,14 @@ class TestInvalidLawsAndCosts:
         assert "initial must be non-negative and sum to 1" in err and "Traceback" not in err
         assert not os.path.exists(out)
 
+    def test_sweep_fails_before_any_point(self, tmp_path, capsys):
+        doc = json.load(open(instance_path("qkl_ring4.json")))
+        bad = self._write(tmp_path, dict(doc, initial=[0.5] * 4))
+        assert run(["sweep", bad, "--grid", "0.2,0.4", "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sweep point" not in err
+
     def test_negative_qkl_initial(self, tmp_path, capsys):
         doc = json.load(open(instance_path("qkl_ring4.json")))
         assert run(["validate", self._write(tmp_path, dict(doc, initial=[1.5, -0.5, 0, 0]))]) == 1
@@ -601,6 +643,14 @@ class TestOverflow:
             warnings.simplefilter("error")
             assert run(["solve", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not (out / "solution.json").exists()
+
+    def test_qlqr_noise_exits_2_naming_the_stage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run(["solve", instance_path("qlqr_scalar.json"), "--lambda", "1e-320",
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "solver infeasible: stage 0: sigma must be symmetric positive definite\n"
         assert not (out / "solution.json").exists()
 
     def test_simulate_exits_2_naming_the_stage(self, tmp_path, capsys):

@@ -161,6 +161,11 @@ class TestNoise:
             g.support_radius([1.0]), abs=1e-12
         )
 
+    def test_unusable_noise_names_the_stage(self):
+        # lam = 1e-320 makes the ent-max covariance underflow to a singular one
+        with pytest.raises(ValueError, match="^stage 0: sigma must be symmetric positive definite"):
+            solve_qlqr_stationary(scalar_instance(lam=1e-320))
+
     def test_noise_density_satisfies_stationarity(self):
         # log_q of the density plus u^2 R_tilde / lam must be constant on
         # the support (first-order condition of the quadratic ent-max)
