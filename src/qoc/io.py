@@ -80,7 +80,7 @@ def _array_fields():
 
 
 def _vouch(value, shapes):
-    """``value`` as a float array when numpy alone shows the schema admits it, else None.
+    """``value`` as a float array when numpy alone shows it fits one of ``shapes``, else None.
 
     It must be lists nested to one of the ``shapes``' depths, with every
     leaf exactly an int or a float (not a bool, which numpy would take as
@@ -111,19 +111,19 @@ def validate_instance_dict(doc):
 
     jsonschema is the only judge.  Array fields that numpy vouches for are
     replaced by ``[]``, which the schema admits for each of them, before
-    jsonschema checks the rest; anything not vouched for, and any rejected
-    document, goes through jsonschema whole, so every message is its own.
+    jsonschema checks the rest; no rule ties fields together beyond
+    ``kind``, so the verdict is the same.  A rejected document goes through
+    jsonschema whole, so every message is its own.
     Returns the vouched arrays as float ndarrays, by field name.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     fields = _array_fields().get(kind, {}) if isinstance(kind, str) else {}
     arrays = {name: _vouch(doc[name], shapes) for name, shapes in fields.items() if name in doc}
-    reduced = {**doc, **dict.fromkeys(arrays, [])} if arrays else doc
-    if any(arr is None for arr in arrays.values()) or not _validator().is_valid(reduced):
+    arrays = {name: arr for name, arr in arrays.items() if arr is not None}
+    if not _validator().is_valid({**doc, **dict.fromkeys(arrays, [])} if arrays else doc):
         error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
-        if error is not None:
-            raise InstanceError(f"invalid instance at {error.json_path}: {error.message}") from error
-    return {name: arr for name, arr in arrays.items() if arr is not None}
+        raise InstanceError(f"invalid instance at {error.json_path}: {error.message}") from error
+    return arrays
 
 
 INSTANCE_TYPES = {"qkl": QklInstance, "troc": FiniteTrocInstance, "qlqr": QlqrInstance}
@@ -196,7 +196,8 @@ def _solution_layout(instance):
 def solution_from_dict(doc, instance):
     """Solution object from a parsed ``solution.json`` made for ``instance``.
 
-    Every field must be present, finite and shaped for the instance, with
+    Every field must be present, a nested list of numbers as
+    ``_vouch`` reads it, finite and shaped for the instance, with
     the horizon T fixed by the first field.  Controlled matrices must be
     column-stochastic and noise covariances symmetric positive definite.
     Otherwise InstanceError names the field.  The caller checks
@@ -206,14 +207,13 @@ def solution_from_dict(doc, instance):
     fields = {}
     horizon = None
     for name, (extra, *dims) in layout.items():
-        try:
-            arr = np.asarray(doc[name], dtype=float)
-        except KeyError:
-            raise InstanceError(f"solution is missing {name!r}") from None
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InstanceError(f"solution field {name!r} is not a numeric array") from exc
+        if name not in doc:
+            raise InstanceError(f"solution is missing {name!r}")
+        arr = _vouch(doc[name], [(1 + len(dims), None)])
+        if arr is None:
+            raise InstanceError(f"solution field {name!r} is not a {1 + len(dims)}-d array of numbers")
         if horizon is None:
-            horizon = len(arr) - extra if arr.ndim else 0
+            horizon = len(arr) - extra
         shape = (horizon + extra, *dims)
         if arr.shape != shape or not np.all(np.isfinite(arr)):
             raise InstanceError(f"solution field {name!r} must be finite with shape {shape}")

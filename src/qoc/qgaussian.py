@@ -34,11 +34,12 @@ def _log_ball_integral(half_logdet, n, pi_scale, a):
 def _check_spd(matrix, what):
     """Cholesky factor of ``matrix``, or of each matrix in a stack.
 
-    Raises ValueError unless every matrix is symmetric within 1e-12 and
-    positive definite.  Symmetry is checked first because the factorization
-    reads only the lower triangle.
+    Raises ValueError unless every matrix is symmetric, each entry within
+    1e-12 of its mirror with no relative tolerance, and positive definite.
+    Symmetry is checked first because the factorization reads only the
+    lower triangle.
     """
-    if np.allclose(matrix, np.swapaxes(matrix, -1, -2), atol=1e-12):
+    if np.all(np.abs(matrix - np.swapaxes(matrix, -1, -2)) <= 1e-12):
         try:
             return np.linalg.cholesky(matrix)
         except np.linalg.LinAlgError:

@@ -176,6 +176,8 @@ def evaluate_cost(instance, matrices):
     matrices = np.asarray(matrices, dtype=float)
     if matrices.ndim == 2:
         matrices = np.broadcast_to(matrices, (instance.horizon,) + matrices.shape)
+    if matrices.shape[0] < instance.horizon:
+        raise ValueError("not enough controlled matrices for the horizon")
     p0 = instance.passive_matrix
     l = instance.state_cost
     phi = instance.initial.copy()

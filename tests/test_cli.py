@@ -482,6 +482,16 @@ class TestSimulate:
             ),
             ("qkl_ring4.json", "values", lambda doc: dict(doc, values="none")),
             ("qkl_ring4.json", "JSON object", lambda doc: [doc]),
+            (
+                "qlqr_scalar.json",
+                "'etas' is not a 1-d array of numbers",
+                lambda doc: dict(doc, etas=[str(eta) for eta in doc["etas"]]),
+            ),
+            (
+                "qlqr_scalar.json",
+                "'gains' is not a 3-d array of numbers",
+                lambda doc: dict(doc, gains=[[[True]]] + doc["gains"][1:]),
+            ),
         ],
     )
     def test_malformed_solution_exits_1(self, tmp_path, capsys, name, message, edit):
@@ -617,6 +627,15 @@ class TestInvalidLawsAndCosts:
         assert run(["solve", self._write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "r_cost must be symmetric positive definite" in err and "Traceback" not in err
+
+    def test_r_cost_asymmetric_by_1e_6(self, tmp_path, capsys):
+        doc = json.load(open(instance_path("qlqr_scalar.json")))
+        eye, zeros = np.eye(2).tolist(), np.zeros((2, 2)).tolist()
+        doc.update(a=eye, b=eye, q_cost=eye, s_cost=zeros, terminal_cost=eye, initial_state=[1.0, 0.0])
+        assert run(["validate", self._write(tmp_path, dict(doc, r_cost=[[1.0, 0.5], [0.5, 1.0]]))]) == 0
+        bad = self._write(tmp_path, dict(doc, r_cost=[[1.0, 0.5], [0.500001, 1.0]]))
+        assert run(["validate", bad]) == 1
+        assert "r_cost must be symmetric positive definite" in capsys.readouterr().err
 
 
 class TestOverflow:

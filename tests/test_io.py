@@ -223,6 +223,9 @@ def test_validation_agrees_with_the_full_schema_walk(doc):
         assert np.array_equal(arr, np.asarray(doc[name], dtype=float), equal_nan=True)
 
 
+QLQR_MATRICES = ("a", "b", "q_cost", "s_cost", "r_cost", "terminal_cost")
+
+
 def test_valid_documents_are_vouched_without_the_full_walk(monkeypatch):
     calls = []
     best_match = jsonschema.exceptions.best_match
@@ -236,4 +239,32 @@ def test_valid_documents_are_vouched_without_the_full_walk(monkeypatch):
     varying = json.load(open(instance_path("troc_small.json")))
     varying["stage_cost"] = [varying["stage_cost"]] * varying["horizon"]
     assert validate_instance_dict(varying)["stage_cost"].shape == (4, 3, 3)
+    matrices = json.load(open(instance_path("qlqr_scalar.json")))
+    for key in QLQR_MATRICES:
+        matrices[key] = [[matrices[key]]]
+    assert set(validate_instance_dict(matrices)) == {*QLQR_MATRICES, "initial_state"}
     assert calls == []
+
+
+def _has_array_type(schema):
+    """Whether ``"type": "array"`` appears in ``schema`` or below it, following local $refs."""
+    if isinstance(schema, list):
+        return any(map(_has_array_type, schema))
+    if not isinstance(schema, dict):
+        return False
+    if "$ref" in schema:  # "#/a/b" names root["a"]["b"]
+        target = qio._validator().schema
+        for part in schema["$ref"].removeprefix("#/").split("/"):
+            target = target[part]
+        return _has_array_type(target)
+    return schema.get("type") == "array" or any(map(_has_array_type, schema.values()))
+
+
+def test_every_array_field_has_the_fast_path():
+    # a field the walker in io._array_shapes cannot read would be checked by jsonschema
+    # one number at a time; a $ref, oneOf or new keyword must fail here instead
+    for branch in qio._validator().schema["allOf"]:
+        kind = branch["if"]["properties"]["kind"]["const"]
+        for name, sub in branch["then"]["properties"].items():
+            if _has_array_type(sub):
+                assert name in qio._array_fields()[kind], (kind, name)

@@ -12,6 +12,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             QGaussian([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]], 0.3)
 
+    def test_symmetry_has_no_relative_tolerance(self):
+        with pytest.raises(ValueError, match="sigma must be symmetric positive definite"):
+            QGaussian([0.0, 0.0], [[1.0, 0.5], [0.500001, 1.0]], 0.3)
+
     def test_rejects_indefinite_sigma(self):
         with pytest.raises(ValueError):
             QGaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], 0.3)

@@ -89,6 +89,12 @@ class TestSolve:
             pert /= pert.sum(axis=1, keepdims=True)
             assert evaluate_cost(inst, pert) >= base - 1e-9
 
+    def test_evaluate_cost_needs_a_matrix_per_stage(self):
+        inst = ring_instance(horizon=6)
+        matrices = solve_qkl(inst).controlled_matrices[:3]
+        with pytest.raises(ValueError, match="not enough controlled matrices"):
+            evaluate_cost(inst, matrices)
+
     def test_stationary_matches_long_horizon(self):
         inst = ring_instance(horizon=200)
         sol = solve_qkl(inst)
