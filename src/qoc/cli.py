@@ -2,8 +2,8 @@
 
 Instances are JSON documents tagged with a ``kind`` field; solutions are
 emitted as JSON plus per-stage CSV matrices, together with a result bundle
-listing every emitted file and its checksum.  All output is deterministic
-for a fixed seed.
+listing every emitted file and its checksum.  All output is deterministic;
+``simulate``, the one command that draws random numbers, takes a seed.
 """
 
 import argparse
@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from . import io as qio
-from . import qkl, qlqr, troc
 
 EXIT_BAD_INSTANCE = 1
 EXIT_INFEASIBLE = 2
@@ -30,47 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_BAD_INSTANCE, f"{self.prog}: error: {message}\n")
-
-
-def _simulate_qkl(instance, sol, steps, trajectories, seed):
-    """trajectories.csv: the state of every rollout at every stage."""
-    seeds = [(seed, t) for t in range(trajectories)]
-    paths = qkl.rollout(instance, sol.controlled_matrices, steps, seeds)
-    trajectory, stage = np.indices(paths.shape)
-    table = np.column_stack([stage.ravel(), trajectory.ravel(), paths.ravel()])
-    return {"trajectories.csv": (["stage", "trajectory", "state"], table)}
-
-
-def _simulate_qlqr(instance, sol, steps, trajectories, seed):
-    """envelope.csv, then trajectories.csv unless no trajectory is asked for."""
-    n, m = instance.state_dim, instance.input_dim
-    lower, upper = qlqr.support_envelope(instance, sol, steps)
-    header = ["stage"] + [f"lower{i}" for i in range(n)] + [f"upper{i}" for i in range(n)]
-    outputs = {"envelope.csv": (header, np.column_stack([np.arange(steps + 1), lower, upper]))}
-    if trajectories > 0:
-        states, inputs = qlqr.simulate_closed_loop(instance, sol, trajectories, steps, seed)
-        header = ["stage", "trajectory"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
-        index = np.indices(states.shape[:2]).reshape(2, -1).T
-        table = np.hstack([index, states.reshape(-1, n)])
-        # the last stage has no input, so its rows end in empty cells
-        split = steps * trajectories
-        rows = np.hstack([table[:split], inputs.reshape(split, m)])
-        outputs["trajectories.csv"] = (header, rows, table[split:])
-    return outputs
-
-
-# kind -> (solver, solution field also written as <field>.csv, sweep metrics,
-# simulation outputs or None).  The lambdas look each function up at call
-# time, so a rebound module attribute is honoured.
-SOLVERS = {
-    "qkl": (lambda instance: qkl.solve_qkl(instance), "controlled_matrices",
-            lambda instance, sol: qkl.sweep_metrics(instance, sol), _simulate_qkl),
-    "troc": (lambda instance: troc.solve_troc(instance), "policy",
-             lambda instance, sol: troc.sweep_metrics(instance, sol), None),
-    "qlqr": (lambda instance: qlqr.solve_qlqr(instance), "gains",
-             lambda instance, sol: qlqr.sweep_metrics(instance, sol, instance.horizon),
-             _simulate_qlqr),
-}
 
 
 def _overrides(args):
@@ -97,7 +55,6 @@ def _emit(args, outputs, extra):
             "instance": os.path.abspath(args.instance),
             "instance_sha256": qio.file_checksum(args.instance),
             "overrides": {k: v for k, v in _overrides(args).items() if v is not None},
-            "seed": args.seed,
             "manifest": [
                 {"path": os.path.abspath(p), "sha256": qio.file_checksum(p)} for p in paths
             ],
@@ -119,7 +76,7 @@ def _stage_matrices(stack):
 
 def cmd_solve(args):
     kind, instance = qio.load_instance(args.instance, _overrides(args))
-    solve, csv_field, _, _ = SOLVERS[kind]
+    _, _, solve, csv_field, _, _ = qio.KINDS[kind]
     try:
         sol = solve(instance)
     except (ValueError, RuntimeError) as exc:
@@ -154,7 +111,7 @@ def _grid_values(spec):
 def cmd_sweep(args):
     grid = _grid_values(args.grid)
     kind, base = qio.load_instance(args.instance, _overrides(args))
-    solve, _, metrics, _ = SOLVERS[kind]
+    _, _, solve, _, metrics, _ = qio.KINDS[kind]
     field = "q" if args.parameter == "q" else "lam"
     header = ["parameter", "cost", "entropy", "support_radius", "sparsity_count"]
     rows = []
@@ -183,7 +140,7 @@ def cmd_simulate(args):
     if doc.get("kind") != kind:
         print("instance/solution kind mismatch", file=sys.stderr)
         return EXIT_INFEASIBLE
-    _, csv_field, _, simulate = SOLVERS[kind]
+    _, _, _, csv_field, _, simulate = qio.KINDS[kind]
     if simulate is None:
         print("simulate supports qkl and qlqr solutions", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -198,7 +155,7 @@ def cmd_simulate(args):
     except (ValueError, RuntimeError) as exc:
         print(f"simulation infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    out = _emit(args, outputs, {"kind": kind})
+    out = _emit(args, outputs, {"kind": kind, "seed": args.seed})
     print(f"simulation outputs in {out}")
     return 0
 
@@ -222,7 +179,6 @@ def build_parser():
         if writes:
             p.add_argument("--out", default=None,
                            help=f"output directory (default: ${qio.OUTPUT_DIR_ENV} or cwd)")
-            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="solve an instance and emit the solution")
     common(p)
@@ -237,6 +193,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="simulate a solved instance")
     common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("solution", help="solution JSON emitted by solve")
     p.add_argument("--trajectories", type=int, default=100)
     p.add_argument("--steps", type=int, default=30)

@@ -1,4 +1,4 @@
-"""Instance file loading, schema validation and deterministic output writing."""
+"""The kind table, instance file loading, schema validation and deterministic output writing."""
 
 import dataclasses
 import functools
@@ -12,13 +12,12 @@ from importlib import resources
 import jsonschema
 import numpy as np
 
+from . import qkl, qlqr, troc
 from .deformed import _check_distributions
 from .qgaussian import _check_spd
-from .qkl import QklInstance, QklSolution
-from .qlqr import QlqrInstance, QlqrSolution
-from .troc import FiniteTrocInstance, TrocSolution
 
 __all__ = [
+    "KINDS",
     "InstanceError",
     "load_instance",
     "read_instance",
@@ -126,7 +125,47 @@ def validate_instance_dict(doc):
     return arrays
 
 
-INSTANCE_TYPES = {"qkl": QklInstance, "troc": FiniteTrocInstance, "qlqr": QlqrInstance}
+def _simulate_qkl(instance, sol, steps, trajectories, seed):
+    """trajectories.csv: the state of every rollout at every stage."""
+    seeds = [(seed, t) for t in range(trajectories)]
+    paths = qkl.rollout(instance, sol.controlled_matrices, steps, seeds)
+    trajectory, stage = np.indices(paths.shape)
+    table = np.column_stack([stage.ravel(), trajectory.ravel(), paths.ravel()])
+    return {"trajectories.csv": (["stage", "trajectory", "state"], table)}
+
+
+def _simulate_qlqr(instance, sol, steps, trajectories, seed):
+    """envelope.csv, then trajectories.csv unless no trajectory is asked for."""
+    n, m = instance.state_dim, instance.input_dim
+    lower, upper = qlqr.support_envelope(instance, sol, steps)
+    header = ["stage"] + [f"lower{i}" for i in range(n)] + [f"upper{i}" for i in range(n)]
+    outputs = {"envelope.csv": (header, np.column_stack([np.arange(steps + 1), lower, upper]))}
+    if trajectories > 0:
+        states, inputs = qlqr.simulate_closed_loop(instance, sol, trajectories, steps, seed)
+        header = ["stage", "trajectory"] + [f"x{i}" for i in range(n)] + [f"u{i}" for i in range(m)]
+        index = np.indices(states.shape[:2]).reshape(2, -1).T
+        table = np.hstack([index, states.reshape(-1, n)])
+        # the last stage has no input, so its rows end in empty cells
+        split = steps * trajectories
+        rows = np.hstack([table[:split], inputs.reshape(split, m)])
+        outputs["trajectories.csv"] = (header, rows, table[split:])
+    return outputs
+
+
+# kind -> (instance type, solution type, solver, solution field also written as
+# <field>.csv, sweep metrics, simulation outputs or None).  The lambdas and the
+# module-attribute calls look each function up at call time, so a rebound module
+# attribute (bench/spans.py wraps several) is honoured.
+KINDS = {
+    "qkl": (qkl.QklInstance, qkl.QklSolution, lambda instance: qkl.solve_qkl(instance),
+            "controlled_matrices", lambda instance, sol: qkl.sweep_metrics(instance, sol),
+            _simulate_qkl),
+    "troc": (troc.FiniteTrocInstance, troc.TrocSolution, lambda instance: troc.solve_troc(instance),
+             "policy", lambda instance, sol: troc.sweep_metrics(instance, sol), None),
+    "qlqr": (qlqr.QlqrInstance, qlqr.QlqrSolution, lambda instance: qlqr.solve_qlqr(instance),
+             "gains", lambda instance, sol: qlqr.sweep_metrics(instance, sol, instance.horizon),
+             _simulate_qlqr),
+}
 
 
 def read_instance(path, what="instance"):
@@ -153,7 +192,7 @@ def load_instance(path, overrides=None):
             doc[key] = overrides[key]
     arrays = validate_instance_dict(doc)
     kind = doc["kind"]
-    cls = INSTANCE_TYPES[kind]
+    cls = KINDS[kind][0]
     try:
         # instance fields are named as the document keys, except lam for "lambda"
         args = {"horizon": int(doc["horizon"]), "lam": float(doc["lambda"]), "q": float(doc["q"])}
@@ -173,40 +212,24 @@ def solution_to_dict(kind, solution):
     return {"kind": kind, **vars(solution)}
 
 
-def _solution_layout(instance):
-    """Solution type for ``instance`` and each array field's (extra stages, *dims).
-
-    A field laid out as (e, d1, ...) has shape (T + e, d1, ...), where T is
-    the horizon of the solution, not of the instance.
-    """
-    if isinstance(instance, QklInstance):
-        n = instance.num_states
-        return QklSolution, dict(values=(1, n), controlled_matrices=(0, n, n), normalizers=(0, n))
-    if isinstance(instance, FiniteTrocInstance):
-        n, m = instance.num_states, instance.num_actions
-        shapes = dict(value=(1, n), q_values=(0, n, m), policy=(0, n, m), normalizers=(0, n))
-        return TrocSolution, shapes
-    n, m = instance.state_dim, instance.input_dim
-    return QlqrSolution, dict(
-        pi_matrices=(1, n, n), gains=(0, m, n), noise_covariances=(0, m, m),
-        etas=(0,), support_radii=(0, m),
-    )
-
-
 def solution_from_dict(doc, instance):
     """Solution object from a parsed ``solution.json`` made for ``instance``.
 
-    Every field must be present, a nested list of numbers as
-    ``_vouch`` reads it, finite and shaped for the instance, with
-    the horizon T fixed by the first field.  Controlled matrices must be
-    column-stochastic and noise covariances symmetric positive definite.
-    Otherwise InstanceError names the field.  The caller checks
-    ``doc["kind"]`` against the instance.
+    The solution type is ``KINDS[doc["kind"]]``'s; the caller checks
+    ``doc["kind"]`` against the instance.  Every field of that type must be
+    present, a nested list of numbers as ``_vouch`` reads it, finite and
+    shaped by the field's ``layout`` metadata: (e, *names) is the shape
+    (T + e, *dims), each dim the instance attribute of that name, with the
+    solution's horizon T fixed by the first field.  Controlled matrices
+    must be column-stochastic and noise covariances symmetric positive
+    definite.  Otherwise InstanceError names the field.
     """
-    cls, layout = _solution_layout(instance)
+    cls = KINDS[doc["kind"]][1]
     fields = {}
     horizon = None
-    for name, (extra, *dims) in layout.items():
+    for field in dataclasses.fields(cls):
+        name, (extra, *names) = field.name, field.metadata["layout"]
+        dims = [getattr(instance, dim) for dim in names]
         if name not in doc:
             raise InstanceError(f"solution is missing {name!r}")
         arr = _vouch(doc[name], [(1 + len(dims), None)])

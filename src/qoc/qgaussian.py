@@ -28,7 +28,15 @@ def _log_ball_integral(half_logdet, n, pi_scale, a):
     entropy and the eta of the quadratic ent-max are all this integral.
     Every argument is a scalar.
     """
-    return half_logdet + (n / 2.0) * np.log(pi_scale) + lgamma(a) - lgamma(a + n / 2.0)
+    # a = (2-q)/(1-q) is unbounded as q -> 1, where two lgammas of it would cancel.  So
+    # log Gamma(a) / Gamma(a + n/2) sums whole steps -log(a + (n % 2)/2 + i) and, for odd n,
+    # a half step lgamma(a) - lgamma(a + 1/2): direct below a = 1e4, above it the series
+    # 1/(8a) - 1/(192a^3) - log(a)/2 + ... (DLMF 5.11.13)
+    log_ratio = -np.sum(np.log(a + n % 2 / 2.0 + np.arange(n // 2)))
+    if n % 2:
+        log_ratio += (lgamma(a) - lgamma(a + 0.5) if a < 1e4
+                      else 1 / (8 * a) - 1 / (192 * a**3) - np.log(a) / 2)
+    return half_logdet + (n / 2.0) * np.log(pi_scale) + log_ratio
 
 
 def _check_spd(matrix, what):
@@ -98,8 +106,9 @@ class QGaussian:
         """Closed-form deformed q-entropy: int phi^{2-q} = Z^{q-1} (1 - n(1-q)/((n+4)-(n+2)q))."""
         q, n = self.q, self.dim
         d = _deformation_scale(n, q)
-        integral_pow = self.normalizer() ** (q - 1.0) * (1.0 - n * (1.0 - q) / d)
-        plogq = (integral_pow - 1.0) / (1.0 - q)
+        # that integral minus 1, by expm1 and log1p, keeps its digits as q -> 1
+        log_z = self._log_ball((2.0 - q) / (1.0 - q))
+        plogq = np.expm1((q - 1.0) * log_z + np.log1p(-n * (1.0 - q) / d)) / (1.0 - q)
         return -(plogq - 1.0) / (2.0 - q)
 
     def tsallis_entropy(self):

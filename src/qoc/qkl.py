@@ -10,7 +10,7 @@ so the support of each column is contained in the passive support and can
 be strictly sparser.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -82,9 +82,11 @@ class QklInstance:
 
 @dataclass(frozen=True)
 class QklSolution:
-    values: np.ndarray  # (T+1, n)
-    controlled_matrices: np.ndarray  # (T, n, n), column-stochastic
-    normalizers: np.ndarray  # (T, n), C_k(j) per column
+    """Per-stage arrays; a field laid out as (e, *names) has shape (T + e, *instance.names)."""
+
+    values: np.ndarray = field(metadata={"layout": (1, "num_states")})
+    controlled_matrices: np.ndarray = field(metadata={"layout": (0, "num_states", "num_states")})  # column-stochastic
+    normalizers: np.ndarray = field(metadata={"layout": (0, "num_states")})  # C_k(j) per column
 
 
 def _support_layout(p0):

@@ -7,7 +7,7 @@ q-Gaussian has bounded support, the reachable state set stays bounded and
 can be enclosed stage by stage.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -86,11 +86,13 @@ class QlqrInstance:
 
 @dataclass(frozen=True)
 class QlqrSolution:
-    pi_matrices: np.ndarray  # (T+1, n, n) value-function matrices
-    gains: np.ndarray  # (T, m, n)
-    noise_covariances: np.ndarray  # (T, m, m)
-    etas: np.ndarray  # (T,)
-    support_radii: np.ndarray  # (T, m) noise support bound per principal axis
+    """Per-stage arrays; a field laid out as (e, *names) has shape (T + e, *instance.names)."""
+
+    pi_matrices: np.ndarray = field(metadata={"layout": (1, "state_dim", "state_dim")})  # value-function matrices
+    gains: np.ndarray = field(metadata={"layout": (0, "input_dim", "state_dim")})
+    noise_covariances: np.ndarray = field(metadata={"layout": (0, "input_dim", "input_dim")})
+    etas: np.ndarray = field(metadata={"layout": (0,)})
+    support_radii: np.ndarray = field(metadata={"layout": (0, "input_dim")})  # noise support bound per principal axis
 
 
 def _riccati_step(pi_next, a, b, q_cost, s_cost, r_cost):

@@ -11,7 +11,7 @@ where pi is the ent-max distribution over actions and C_k(x) its
 normalizer.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,10 +69,12 @@ class FiniteTrocInstance:
 
 @dataclass(frozen=True)
 class TrocSolution:
-    value: np.ndarray  # (T+1, n)
-    q_values: np.ndarray  # (T, n, m)
-    policy: np.ndarray  # (T, n, m), rows are action distributions
-    normalizers: np.ndarray  # (T, n)
+    """Per-stage arrays; a field laid out as (e, *names) has shape (T + e, *instance.names)."""
+
+    value: np.ndarray = field(metadata={"layout": (1, "num_states")})
+    q_values: np.ndarray = field(metadata={"layout": (0, "num_states", "num_actions")})
+    policy: np.ndarray = field(metadata={"layout": (0, "num_states", "num_actions")})  # rows are action distributions
+    normalizers: np.ndarray = field(metadata={"layout": (0, "num_states")})
 
 
 def solve_troc(instance):

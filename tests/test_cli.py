@@ -9,6 +9,7 @@ import qoc.entmax
 import qoc.io
 from qoc.cli import main
 from qoc.io import InstanceError, load_instance, validate_instance_dict
+from qoc.qlqr import solve_qlqr
 
 INSTANCES = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -168,8 +169,11 @@ class TestUsageErrors:
             (["solve"], "the following arguments are required: instance"),
             (["solve", "I", "--no-such-option"], "unrecognized arguments: --no-such-option"),
             (["validate", "I", "--out", "D"], "unrecognized arguments: --out D"),
+            (["solve", "I", "--seed", "3"], "unrecognized arguments: --seed 3"),
+            (["sweep", "I", "--grid", "0.5", "--seed", "3"], "unrecognized arguments: --seed 3"),
         ],
-        ids=["non-numeric-steps", "missing-instance", "unknown-option", "validate-out"],
+        ids=["non-numeric-steps", "missing-instance", "unknown-option", "validate-out",
+             "solve-seed", "sweep-seed"],
     )
     def test_usage_error_exits_1(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -210,7 +214,7 @@ class TestSolve:
     def test_deterministic_across_runs(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):
-            run(["solve", instance_path("troc_small.json"), "--out", out, "--seed", "3"])
+            run(["solve", instance_path("troc_small.json"), "--out", out])
         a = open(os.path.join(out1, "policy.csv")).read()
         b = open(os.path.join(out2, "policy.csv")).read()
         assert a == b
@@ -331,6 +335,21 @@ class TestSweep:
         assert "1 points, 1 failures" in captured.out
         assert captured.err == "sweep point 0.0 failed: lam must be positive and finite, got 0.0\n"
         assert len(open(tmp_path / "sweep.csv").read().strip().splitlines()) == 2
+
+    def test_q_sweep_entropy_tends_to_the_gaussian_limit(self, tmp_path):
+        # the stage-0 noise covariance tends to lam/2 (R + B^T Pi_1 B)^{-1}, so the entropy
+        # column tends to that Gaussian's differential entropy plus 1, within O(1 - q)
+        grid = [0.99, 0.99999999, 0.9999999999, 0.999999999999, 0.99999999999999, 0.999999999999999]
+        path = instance_path("qlqr_scalar.json")
+        argv = ["sweep", path, "--grid", ",".join(map(repr, grid)), "--out", str(tmp_path)]
+        assert run(argv) == 0
+        _, instance = load_instance(path)
+        pi_1 = solve_qlqr(instance).pi_matrices[1]
+        sigma = instance.lam / 2.0 * np.linalg.inv(instance.r_cost + instance.b.T @ pi_1 @ instance.b)
+        limit = 0.5 * np.linalg.slogdet(2.0 * np.pi * np.e * sigma)[1] + 1.0
+        table = np.loadtxt(tmp_path / "sweep.csv", delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, 0], grid)
+        assert np.all(np.abs(table[:, 2] - limit) <= 5.0 * (1.0 - table[:, 0]) + 1e-13)
 
 
 class TestTinyPassiveWeight:

@@ -1,6 +1,7 @@
 """The boundary formats: instance loading, the solution.json round trip and CSV output."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -268,3 +269,11 @@ def test_every_array_field_has_the_fast_path():
         for name, sub in branch["then"]["properties"].items():
             if _has_array_type(sub):
                 assert name in qio._array_fields()[kind], (kind, name)
+    # a kind or a solution field declared in one place only must fail here too
+    kinds = [branch["if"]["properties"]["kind"]["const"] for branch in qio._validator().schema["allOf"]]
+    assert sorted(kinds) == sorted(qio.KINDS)
+    for kind, (instance_type, solution_type, *_) in qio.KINDS.items():
+        attributes = {f.name for f in dataclasses.fields(instance_type)} | set(dir(instance_type))
+        for field in dataclasses.fields(solution_type):
+            _, *names = field.metadata["layout"]
+            assert set(names) <= attributes, (kind, field.name, names)

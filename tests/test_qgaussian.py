@@ -88,6 +88,22 @@ class TestClosedFormEntropies:
         with pytest.raises(ValueError, match="requires q > 0"):
             QGaussian([0.0], [[1.0]], 0.0).tsallis_entropy()
 
+    @pytest.mark.parametrize(
+        "sigma",
+        [[[0.7]], [[0.8, 0.3], [0.3, 0.5]], [[1.0, 0.2, 0.1], [0.2, 0.6, 0.0], [0.1, 0.0, 0.3]]],
+        ids=["n=1", "n=2", "n=3"],
+    )
+    def test_deformed_entropy_tends_to_the_gaussian_limit(self, sigma):
+        # as q -> 1 the deformed entropy tends to the Gaussian differential entropy plus 1,
+        # with a gap of order 1 - q all the way down to q = 1 - 1e-15
+        sigma = np.asarray(sigma)
+        n = len(sigma)
+        limit = 0.5 * np.linalg.slogdet(2.0 * np.pi * np.e * sigma)[1] + 1.0
+        for k in range(1, 16):
+            q = 1.0 - 10.0**-k
+            gap = abs(QGaussian(np.zeros(n), sigma, q).deformed_entropy() - limit)
+            assert gap <= 5.0 * n * (1.0 - q) + 1e-13, (k, gap)
+
 
 class TestSupportRadius:
     def test_scalar_q0(self):
