@@ -24,7 +24,7 @@ from .entmax import (
     entmax_weighted,
 )
 from .qgaussian import QGaussian
-from .qkl import QklInstance, QklSolution, relative_values, rollout, solve_qkl, solve_qkl_stationary
+from .qkl import QklInstance, QklSolution, rollout, solve_qkl, solve_qkl_stationary
 from .qlqr import (
     QlqrInstance,
     QlqrSolution,

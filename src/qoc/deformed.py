@@ -67,6 +67,14 @@ class DiscreteDistribution:
         return f"DiscreteDistribution({self.weights.tolist()})"
 
 
+def _exp_q_scaled(a, q):
+    """exp_q(x) from a = (1-q) x; log1p keeps the q -> 1 limit accurate.
+
+    a <= -1 gives 0 through log1p(-1) = -inf, a division by zero; it sets no error state.
+    """
+    return np.exp(np.log1p(np.maximum(a, -1.0)) / (1.0 - q))
+
+
 def exp_q(x, q):
     """Deformed exponential [1 + (1-q) x]_+^(1/(1-q)).
 
@@ -74,15 +82,9 @@ def exp_q(x, q):
     at NaN.  Accepts scalars or arrays.
     """
     q = _as_q(q)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    arg = (1.0 - q) * x
-    out = np.zeros_like(x)
-    pos = ~(arg <= -1.0)  # NaN falls here and stays NaN
-    # log1p keeps the q -> 1 limit accurate (exponent 1/(1-q) blows up)
-    out[pos] = np.exp(np.log1p(arg[pos]) / (1.0 - q))
-    return float(out[0]) if scalar else out
+    with np.errstate(divide="ignore"):
+        out = _exp_q_scaled((1.0 - q) * np.asarray(x, dtype=float), q)
+    return out if out.ndim else float(out)
 
 
 def log_q(x, q):
@@ -125,21 +127,19 @@ def deformed_entropy(phi, q):
 def tsallis_entropy(phi, q):
     """Tsallis entropy T_q(phi) = -(1/q) (sum_i phi_i^q log_q(phi_i) - 1).
 
-    Requires q > 0 (the leading 1/q factor).  Related to the deformed
-    entropy by T_{2-q}(phi) = H_q(phi).
+    Requires 0 < q < 2.  Computed as the deformed entropy H_{2-q}(phi) = T_q(phi),
+    so a 2-d ``phi`` gives one entropy per row.
     """
     q = float(q)
     if q <= 0:
         raise ValueError("tsallis_entropy requires q > 0")
     if q >= 2:
         raise ValueError("tsallis_entropy requires q < 2")
-    w = np.asarray(phi, dtype=float)
-    pos = w > 0
-    wp = w[pos]
     if abs(q - 1.0) < 1e-12:
-        s = float(np.sum(wp * np.log(wp)))
+        w = np.asarray(phi, dtype=float)
+        s = np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1)
     else:
-        s = float(np.sum(wp ** q * np.expm1((1.0 - q) * np.log(wp)) / (1.0 - q)))
+        s = _plogq(phi, 2.0 - q)  # phi^q log_q(phi) = phi log_{2-q}(phi)
     return -(s - 1.0) / q
 
 

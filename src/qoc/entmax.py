@@ -15,9 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# exp_q is not called here, but bench/spans.py wraps qoc.entmax.exp_q
 from .deformed import (
     DiscreteDistribution,
     _as_q,
+    _exp_q_scaled,
     deformed_entropy,
     exp_q,
     log_q,
@@ -121,11 +123,11 @@ def entmax_rows(costs, weights, lam, q):
     diff = masked - c_j  # +inf off the support, so the terms are 0 there
     rel = diff / lam
     d = np.take_along_axis(bound, j, axis=1)
-    # terms are w * exp_q(d - rel) in exp_q's arithmetic; log1p(-1) = -inf gives 0 off the support
+    # terms are w * exp_q(d - rel), 0 off the support
     with np.errstate(divide="ignore", invalid="ignore"):
         for step in range(ROOT_MAX_ITER + 1):
             a = (1.0 - q) * (d - rel)
-            terms = w * np.exp(np.log1p(np.maximum(a, -1.0)) / (1.0 - q))
+            terms = w * _exp_q_scaled(a, q)
             total = terms.sum(axis=1, keepdims=True)
             g = total - 1.0
             # exp_q' = exp_q / (1 + a) is 0 off the support; base**(q/(1-q)) would give 0**0 = 1

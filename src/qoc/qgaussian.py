@@ -76,7 +76,6 @@ class QGaussian:
             raise ValueError("sigma shape does not match mu")
         self._chol = _check_spd(sigma, "sigma")
         self.sigma = sigma
-        self._sigma_inv = np.linalg.inv(sigma)
 
     @property
     def dim(self):
@@ -87,38 +86,37 @@ class QGaussian:
         """Right-hand side of the support inequality in Mahalanobis units."""
         return _support_threshold(self.dim, self.q)
 
-    def _log_ball(self, a):
-        """log of the integral of [1 - s / support_threshold]_+^(a-1), s = mahalanobis_sq."""
+    def _log_z(self):
+        """log Z_q, a ball integral summed in log space so that det(sigma) cannot underflow."""
         return _log_ball_integral(
-            0.5 * np.linalg.slogdet(self.sigma)[1], self.dim, np.pi * self.support_threshold, a
+            0.5 * np.linalg.slogdet(self.sigma)[1], self.dim, np.pi * self.support_threshold,
+            (2.0 - self.q) / (1.0 - self.q),
         )
-
-    @cached_property
-    def _normalizer(self):
-        """Z_q, computed on first use and summed in log space so det(sigma) cannot underflow."""
-        return np.exp(self._log_ball((2.0 - self.q) / (1.0 - self.q)))
 
     def normalizer(self):
         """Normalization constant Z_q."""
-        return self._normalizer
+        return np.exp(self._log_z())
 
     def deformed_entropy(self):
         """Closed-form deformed q-entropy: int phi^{2-q} = Z^{q-1} (1 - n(1-q)/((n+4)-(n+2)q))."""
         q, n = self.q, self.dim
         d = _deformation_scale(n, q)
         # that integral minus 1, by expm1 and log1p, keeps its digits as q -> 1
-        log_z = self._log_ball((2.0 - q) / (1.0 - q))
-        plogq = np.expm1((q - 1.0) * log_z + np.log1p(-n * (1.0 - q) / d)) / (1.0 - q)
+        plogq = np.expm1((q - 1.0) * self._log_z() + np.log1p(-n * (1.0 - q) / d)) / (1.0 - q)
         return -(plogq - 1.0) / (2.0 - q)
 
     def tsallis_entropy(self):
-        """Closed-form Tsallis entropy (q > 0): int phi^q is Z^{-q} times a ball integral."""
-        q = self.q
+        """Closed-form Tsallis entropy (q > 0): int phi^q = Z^{1-q} (1 + n(1-q)/2)."""
+        q, n = self.q, self.dim
         if q == 0.0:
             raise ValueError("Tsallis entropy requires q > 0")
-        log_int = self._log_ball(1.0 / (1.0 - q)) - q * self._log_ball((2.0 - q) / (1.0 - q))
-        plogq = (1.0 - np.exp(log_int)) / (1.0 - q)
+        # Z^q int phi^q is the ball integral one Gamma step below Z; expm1 and log1p keep q -> 1
+        plogq = -np.expm1((1.0 - q) * self._log_z() + np.log1p(n * (1.0 - q) / 2.0)) / (1.0 - q)
         return -(plogq - 1.0) / q
+
+    @cached_property
+    def _sigma_inv(self):  # only the support geometry reads it, and no CLI path
+        return np.linalg.inv(self.sigma)
 
     def mahalanobis_sq(self, x):
         """(x - mu)^T sigma^{-1} (x - mu), vectorized over rows of x."""
@@ -127,11 +125,9 @@ class QGaussian:
 
     def density(self, x):
         """Density at x; exactly zero outside the support ellipsoid."""
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim <= 1
+        scalar = np.ndim(x) <= 1
         s = self.mahalanobis_sq(x)
-        val = exp_q(-s / _deformation_scale(self.dim, self.q), self.q) / self._normalizer
-        val = np.atleast_1d(val)
+        val = exp_q(-s / _deformation_scale(self.dim, self.q), self.q) / self.normalizer()
         return float(val[0]) if scalar else val
 
     def support_radius(self, direction):

@@ -25,7 +25,6 @@ __all__ = [
     "QklSolution",
     "solve_qkl",
     "solve_qkl_stationary",
-    "relative_values",
     "evaluate_cost",
     "sweep_metrics",
     "rollout",
@@ -154,18 +153,6 @@ def solve_qkl_stationary(instance):
         f"stationary backward recursion did not converge in {STATIONARY_MAX_ITER} "
         f"iterations: last drift {drift:.3g}"
     )
-
-
-def relative_values(value, normalizers, reference_state=0, *, lam):
-    """Argument of exp_q for the given reference column: z = C(j0) - V/lam.
-
-    These differences are horizon-independent in the stationary regime and
-    determine the sparsity pattern of the controlled column: an entry is
-    exactly zero iff 1 + (1-q) z_i <= 0.  ``lam`` is the instance's
-    regularization weight; it has no default, since z depends on it.
-    """
-    value = np.asarray(value, dtype=float)
-    return normalizers[reference_state] - value / lam
 
 
 def evaluate_cost(instance, matrices):

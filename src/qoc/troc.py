@@ -42,9 +42,9 @@ class FiniteTrocInstance:
         object.__setattr__(self, "stage_cost", np.asarray(self.stage_cost, dtype=float))
         object.__setattr__(self, "terminal_cost", np.asarray(self.terminal_cost, dtype=float))
         object.__setattr__(self, "q", _as_q(self.q))
-        n, m = self.num_states, self.num_actions
-        if self.kernel.shape != (n, m, n):
+        if self.kernel.ndim != 3 or self.kernel.shape[2] != self.num_states:
             raise ValueError("kernel must have shape (n, m, n)")
+        n, m = self.num_states, self.num_actions
         _check_distributions(self.kernel, 2, "each kernel slice")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")

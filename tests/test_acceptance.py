@@ -13,7 +13,7 @@ import pytest
 from qoc.deformed import exp_q, log_q, qkl_divergence
 from qoc.entmax import entmax_discrete, entmax_quadratic, entmax_weighted
 from qoc.qgaussian import QGaussian
-from qoc.qkl import QklInstance, relative_values, solve_qkl_stationary
+from qoc.qkl import QklInstance, solve_qkl_stationary
 from qoc.qlqr import (
     QlqrInstance,
     simulate_closed_loop,
@@ -30,6 +30,7 @@ from oracle import (
     quadrature_moments,
     quadrature_normalization,
 )
+from rows import relative_values
 
 RING4 = np.array(
     [

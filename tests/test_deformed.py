@@ -121,6 +121,15 @@ class TestEntropies:
         with pytest.raises(ValueError):
             tsallis_entropy([0.5, 0.5], 0.0)
 
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5])
+    def test_tsallis_of_rows(self, q):
+        # a 2-d phi gives one entropy per row, as deformed_entropy does
+        phi = np.array([[0.5, 0.5], [0.25, 0.75], [1.0, 0.0]])
+        rows = tsallis_entropy(phi, q)
+        assert rows.shape == (3,)
+        for row, value in zip(phi, rows):
+            assert value == pytest.approx(tsallis_entropy(row, q), abs=1e-14)
+
     @pytest.mark.parametrize("q", [0.25, 0.5])
     def test_additive_duality(self, q):
         rng = np.random.default_rng(11)

@@ -1,4 +1,4 @@
-"""`qoc solve` and `qoc sweep` on the bundled instances reproduce pinned output values.
+"""`qoc solve`, `sweep` and `simulate` on the bundled instances reproduce pinned output values.
 
 The ``solve`` files under ``data/pinned/<instance>/`` were written by
 
@@ -10,9 +10,15 @@ at commit 1df19c9 (``result_bundle.json`` dropped, since it records paths).
     qoc sweep instances/<instance>.json [--horizon H] --grid 0.1:0.9:5
     qoc sweep instances/<instance>.json [--horizon H] --parameter lambda --grid 0.5,1,2
 
-at commit 55c6add.  Arrays are compared at 1e-12 times their largest
-magnitude (per column for a sweep) rather than byte for byte, because
-BLAS summation order differs between machines; a change that moves an
+at commit 55c6add.  ``simulate_trajectories.csv`` and ``simulate_envelope.csv`` are the
+outputs of
+
+    qoc simulate instances/<instance>.json [--horizon H] <solution.json of the solve above>
+        --steps 3 --trajectories 20 --seed 1
+
+at commit e8d080b, for the two kinds that simulate.  Arrays are compared at 1e-12 times
+their largest magnitude (per column for a sweep or a simulation) rather than byte for
+byte, because BLAS summation order differs between machines; a change that moves an
 output by more than that must re-pin it and say why.
 """
 
@@ -52,10 +58,25 @@ def assert_close(actual, expected, what, axis=None):
     assert np.all(np.max(np.abs(actual - expected), axis=axis, initial=0.0) <= REL_TOL * scale), what
 
 
+# simulate arguments, and instance -> the CSV files simulate writes
+SIMULATE = ["--steps", "3", "--trajectories", "20", "--seed", "1"]
+SIMULATED = {
+    "qkl_ring4": ["trajectories.csv"],
+    "qlqr_scalar": ["trajectories.csv", "envelope.csv"],
+}
+
+
 def read_csv(path):
     with open(path) as fh:
         header = fh.readline()
     return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+
+
+def read_csv_with_blanks(path):
+    """Like ``read_csv``, but an empty cell reads as NaN."""
+    with open(path) as fh:
+        header = fh.readline()
+    return header, np.genfromtxt(path, delimiter=",", skip_header=1, ndmin=2)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -93,3 +114,27 @@ def test_sweep_matches_pinned_values(tmp_path, capsys, name, pinned):
     pinned_header, pinned_table = read_csv(os.path.join(PINNED, name, pinned))
     assert header == pinned_header
     assert_close(table, pinned_table, f"{name}: {pinned}", axis=0)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATED))
+def test_simulate_matches_pinned_values(tmp_path, capsys, name):
+    extra, _ = CASES[name]
+    instance = os.path.join(INSTANCES, f"{name}.json")
+    assert main(["solve", instance, *extra, "--out", str(tmp_path / "solve")]) == 0
+    solution = str(tmp_path / "solve" / "solution.json")
+    out = tmp_path / "simulate"
+    assert main(["simulate", instance, *extra, solution, *SIMULATE, "--out", str(out)]) == 0
+    capsys.readouterr()
+    for csv_name in SIMULATED[name]:
+        header, table = read_csv_with_blanks(out / csv_name)
+        pinned_header, pinned_table = read_csv_with_blanks(
+            os.path.join(PINNED, name, f"simulate_{csv_name}")
+        )
+        assert header == pinned_header
+        # the last q-LQR stage has no input: its cells are empty in both files
+        blank = np.isnan(pinned_table)
+        assert np.array_equal(np.isnan(table), blank), f"{name}: {csv_name} blank cells"
+        assert_close(
+            np.where(blank, 0.0, table), np.where(blank, 0.0, pinned_table),
+            f"{name}: {csv_name}", axis=0,
+        )

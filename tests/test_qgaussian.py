@@ -104,6 +104,21 @@ class TestClosedFormEntropies:
             gap = abs(QGaussian(np.zeros(n), sigma, q).deformed_entropy() - limit)
             assert gap <= 5.0 * n * (1.0 - q) + 1e-13, (k, gap)
 
+    @pytest.mark.parametrize(
+        "sigma",
+        [[[0.7]], [[0.7, 0.1], [0.1, 0.3]], np.diag([0.5, 1.2, 2.0])],
+        ids=["n=1", "n=2", "n=3"],
+    )
+    def test_tsallis_entropy_tends_to_the_gaussian_limit(self, sigma):
+        # the Tsallis entropy tends to the same limit, with a gap of order 1 - q down to 1e-15
+        sigma = np.asarray(sigma)
+        n = len(sigma)
+        limit = 0.5 * np.linalg.slogdet(2.0 * np.pi * np.e * sigma)[1] + 1.0
+        for k in range(1, 16):
+            q = 1.0 - 10.0**-k
+            gap = abs(QGaussian(np.zeros(n), sigma, q).tsallis_entropy() - limit)
+            assert gap <= 10.0 * n * (1.0 - q) + 1e-13, (k, gap)
+
 
 class TestSupportRadius:
     def test_scalar_q0(self):

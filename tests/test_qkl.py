@@ -4,11 +4,12 @@ import pytest
 from qoc.qkl import (
     QklInstance,
     evaluate_cost,
-    relative_values,
     rollout,
     solve_qkl,
     solve_qkl_stationary,
 )
+
+from rows import relative_values
 
 RING4 = np.array(
     [

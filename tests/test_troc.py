@@ -38,6 +38,11 @@ class TestInstance:
                 q=0.3,
             )
 
+    @pytest.mark.parametrize("kernel", [np.ones(3) / 3, np.float64(1.0)], ids=["1-d", "scalar"])
+    def test_rejects_a_kernel_that_is_not_3d(self, kernel):
+        with pytest.raises(ValueError, match=r"kernel must have shape \(n, m, n\)"):
+            FiniteTrocInstance(kernel, np.zeros((1, 1)), np.zeros(1), 2, 1.0, 0.5)
+
     def test_rejects_a_nan_kernel_entry(self):
         kernel = np.full((2, 2, 2), 0.5)
         kernel[1, 0, 1] = np.nan
