@@ -35,9 +35,10 @@ def _overrides(args):
     return {"q": args.q, "lambda": args.lam, "horizon": args.horizon}
 
 
-def _emit(args, outputs, extra):
+def _emit(args, instance_sha256, outputs, extra):
     """Write each output, then result_bundle.json listing them; returns the directory.
 
+    ``instance_sha256`` is the digest of the instance bytes that were read.
     ``outputs`` maps file name to content, written in order: a dict as
     JSON, a ``(header, *tables)`` tuple as CSV.  The bundle's manifest
     keeps that order; ``extra`` adds fields to the bundle.
@@ -53,7 +54,7 @@ def _emit(args, outputs, extra):
                 qio.write_csv(path, *content)
         bundle = {
             "instance": os.path.abspath(args.instance),
-            "instance_sha256": qio.file_checksum(args.instance),
+            "instance_sha256": instance_sha256,
             "overrides": {k: v for k, v in _overrides(args).items() if v is not None},
             "manifest": [
                 {"path": os.path.abspath(p), "sha256": qio.file_checksum(p)} for p in paths
@@ -75,7 +76,7 @@ def _stage_matrices(stack):
 
 
 def cmd_solve(args):
-    kind, instance = qio.load_instance(args.instance, _overrides(args))
+    kind, instance, digest = qio.load_instance(args.instance, _overrides(args))
     _, _, solve, csv_field, _, _ = qio.KINDS[kind]
     try:
         sol = solve(instance)
@@ -86,7 +87,7 @@ def cmd_solve(args):
         "solution.json": qio.solution_to_dict(kind, sol),
         f"{csv_field}.csv": _stage_matrices(getattr(sol, csv_field)),
     }
-    out = _emit(args, outputs, {"kind": kind})
+    out = _emit(args, digest, outputs, {"kind": kind})
     print(f"solved {kind} instance; outputs in {out}")
     return 0
 
@@ -110,7 +111,7 @@ def _grid_values(spec):
 
 def cmd_sweep(args):
     grid = _grid_values(args.grid)
-    kind, base = qio.load_instance(args.instance, _overrides(args))
+    kind, base, digest = qio.load_instance(args.instance, _overrides(args))
     _, _, solve, _, metrics, _ = qio.KINDS[kind]
     field = "q" if args.parameter == "q" else "lam"
     header = ["parameter", "cost", "entropy", "support_radius", "sparsity_count"]
@@ -126,7 +127,7 @@ def cmd_sweep(args):
             failures += 1
             print(f"sweep point {value} failed: {exc}", file=sys.stderr)
     table = np.reshape(rows, (-1, len(header)))
-    _emit(args, {"sweep.csv": (header, table)}, {"parameter": args.parameter})
+    _emit(args, digest, {"sweep.csv": (header, table)}, {"parameter": args.parameter})
     print(f"sweep over {args.parameter}: {len(rows)} points, {failures} failures")
     return 0 if failures == 0 else EXIT_INFEASIBLE
 
@@ -135,8 +136,8 @@ def cmd_simulate(args):
     for name in ("steps", "trajectories", "seed"):
         if getattr(args, name) < 0:
             raise UsageError(f"--{name} must be non-negative, got {getattr(args, name)}")
-    kind, instance = qio.load_instance(args.instance, _overrides(args))
-    doc = qio.read_instance(args.solution, "solution")
+    kind, instance, digest = qio.load_instance(args.instance, _overrides(args))
+    doc, _ = qio.read_instance(args.solution, "solution")
     if doc.get("kind") != kind:
         print("instance/solution kind mismatch", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -155,7 +156,7 @@ def cmd_simulate(args):
     except (ValueError, RuntimeError) as exc:
         print(f"simulation infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    out = _emit(args, outputs, {"kind": kind, "seed": args.seed})
+    out = _emit(args, digest, outputs, {"kind": kind, "seed": args.seed})
     print(f"simulation outputs in {out}")
     return 0
 

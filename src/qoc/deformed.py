@@ -102,15 +102,29 @@ def _plogq(p, q, ref=None):
 
     Terms with p_i = 0 are 0.  A row with p_i > 0 where ref_i <= 0 sums to
     +inf.  Returns a float for a 1-d ``p`` and one value per row otherwise.
+    The terms are formed in place, in one buffer.
     """
     p = np.asarray(p, dtype=float)
-    ref = np.ones_like(p) if ref is None else np.asarray(ref, dtype=float)
     pos = p > 0
-    ok = pos & (ref > 0)
-    logs = np.log(np.divide(p, ref, out=np.ones_like(p), where=ok))  # 0 off ``ok``
-    total = np.sum(p * np.expm1((1.0 - q) * logs) / (1.0 - q), axis=-1)
-    total = np.where(np.any(pos & ~ok, axis=-1), np.inf, total)
+    if ref is None:
+        terms = np.log(np.where(pos, p, 1.0))  # 0 off the support
+    else:
+        ref = np.asarray(ref, dtype=float)
+        ok = pos & (ref > 0)
+        terms = np.log(np.divide(p, ref, out=np.ones_like(p), where=ok))  # 0 off ``ok``
+    terms *= 1.0 - q
+    np.expm1(terms, out=terms)
+    terms *= p
+    terms /= 1.0 - q
+    total = terms.sum(axis=-1)
+    if ref is not None:
+        total = np.where(np.any(pos & ~ok, axis=-1), np.inf, total)
     return float(total) if total.ndim == 0 else total
+
+
+def _deformed_entropy(phi, q):
+    """H_q of each row of ``phi``, unchecked: the ent-max kernel's rows sum to 1 by construction."""
+    return -(_plogq(phi, q) - 1.0) / (2.0 - q)
 
 
 def deformed_entropy(phi, q):
@@ -118,29 +132,39 @@ def deformed_entropy(phi, q):
 
     Satisfies the additive duality H_q(phi) = T_{2-q}(phi) with the Tsallis
     entropy, and tends to the Shannon entropy plus a constant as q -> 1.
-    A 2-d ``phi`` gives one entropy per row.
+    A 2-d ``phi`` gives one entropy per row.  Raises ValueError unless
+    each row is a distribution.
     """
     q = _as_q(q)
-    return -(_plogq(phi, q) - 1.0) / (2.0 - q)
+    phi = np.asarray(phi, dtype=float)
+    _check_distributions(phi, -1, "phi")
+    return _deformed_entropy(phi, q)
 
 
 def tsallis_entropy(phi, q):
     """Tsallis entropy T_q(phi) = -(1/q) (sum_i phi_i^q log_q(phi_i) - 1).
 
     Requires 0 < q < 2.  Computed as the deformed entropy H_{2-q}(phi) = T_q(phi),
-    so a 2-d ``phi`` gives one entropy per row.
+    so a 2-d ``phi`` gives one entropy per row.  Raises ValueError unless
+    each row is a distribution.
     """
     q = float(q)
     if q <= 0:
         raise ValueError("tsallis_entropy requires q > 0")
     if q >= 2:
         raise ValueError("tsallis_entropy requires q < 2")
+    w = np.asarray(phi, dtype=float)
+    _check_distributions(w, -1, "phi")
     if abs(q - 1.0) < 1e-12:
-        w = np.asarray(phi, dtype=float)
         s = np.sum(w * np.log(np.where(w > 0, w, 1.0)), axis=-1)
     else:
-        s = _plogq(phi, 2.0 - q)  # phi^q log_q(phi) = phi log_{2-q}(phi)
+        s = _plogq(w, 2.0 - q)  # phi^q log_q(phi) = phi log_{2-q}(phi)
     return -(s - 1.0) / q
+
+
+def _qkl_divergence(p, s, q):
+    """D_q(p || s) of each row, unchecked: the ent-max kernel's weights need not sum to 1."""
+    return _plogq(p, q, s) / (2.0 - q)
 
 
 def qkl_divergence(phi, psi, q):
@@ -152,10 +176,12 @@ def qkl_divergence(phi, psi, q):
 
     Returns +inf when the support of phi is not contained in the support
     of psi.  Always non-negative.  2-d arguments give one divergence per
-    row.
+    row.  Raises ValueError unless each row of both is a distribution.
     """
     q = _as_q(q)
     p, s = np.asarray(phi, dtype=float), np.asarray(psi, dtype=float)
     if p.shape != s.shape:
         raise ValueError("distributions must have the same length")
-    return _plogq(p, q, s) / (2.0 - q)
+    _check_distributions(p, -1, "phi")
+    _check_distributions(s, -1, "psi")
+    return _qkl_divergence(p, s, q)

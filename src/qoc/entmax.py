@@ -19,11 +19,11 @@ import numpy as np
 from .deformed import (
     DiscreteDistribution,
     _as_q,
+    _deformed_entropy,
     _exp_q_scaled,
-    deformed_entropy,
+    _qkl_divergence,
     exp_q,
     log_q,
-    qkl_divergence,
 )
 from .qgaussian import QGaussian, _check_spd, _deformation_scale, _log_ball_integral
 
@@ -148,9 +148,9 @@ def entmax_rows(costs, weights, lam, q):
     # shifted by a cost on the support, so a sum of probs off 1 by rounding barely moves it
     expected = c_j[:, 0] + np.sum(probs * np.where(sup, diff, 0.0), axis=1)
     if weights is None:
-        objective = expected - lam * deformed_entropy(probs, q)
+        objective = expected - lam * _deformed_entropy(probs, q)
     else:
-        objective = expected + lam * qkl_divergence(probs, w, q)
+        objective = expected + lam * _qkl_divergence(probs, w, q)
     return probs, (d + c_j / lam)[:, 0], objective
 
 

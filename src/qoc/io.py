@@ -5,11 +5,11 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import tempfile
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import qkl, qlqr, troc
@@ -38,13 +38,91 @@ class InstanceError(ValueError):
 
 
 @functools.cache
-def _validator():
-    """The instance schema's validator, read and checked once per process."""
+def _schema():
+    """The instance schema, read once per process."""
     with resources.files("qoc.schemas").joinpath("instance.schema.json").open() as fh:
-        schema = json.load(fh)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+        return json.load(fh)
+
+
+@functools.cache
+def _validator():
+    """The instance schema's jsonschema validator, built for a document ``_admits`` cannot vouch for.
+
+    jsonschema is imported here and nowhere else in the package, so a process
+    that reads only valid documents never imports it; the schema's own
+    conformance to its draft is checked by the test suite.
+    """
+    import jsonschema
+
+    return jsonschema.validators.validator_for(_schema())(_schema())
+
+
+# JSON types by exact Python type: a subclass (a numpy float, an enum) is left to jsonschema
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "int", float: "float",
+               bool: "boolean", type(None): "null"}
+_BOUNDS = {"minimum": operator.ge, "exclusiveMinimum": operator.gt, "exclusiveMaximum": operator.lt}
+
+
+def _every(verdicts):
+    """All of ``verdicts`` hold: the first that is not True, else True."""
+    return next((v for v in verdicts if v is not True), True)
+
+
+def _admits(schema, value):
+    """Whether ``schema`` admits ``value``: True, False, or None when this walk cannot tell.
+
+    Reads only the keywords the instance schema uses: type, enum, const,
+    minimum, exclusiveMinimum, exclusiveMaximum, required, properties,
+    items, anyOf, allOf and if/then, skipping the annotations $schema, $id
+    and title; any other keyword makes the answer None.  None is also the
+    answer for a Python type JSON does not produce, a float ``integer``, a
+    NaN against a bound, and an enum or const that is not string against
+    string.  Every True and every False is jsonschema's own verdict, so
+    None is always a safe answer and jsonschema judges every document
+    this walk does not call valid.
+    """
+    t = _JSON_TYPES.get(type(value))
+    if t is None:
+        return None
+    verdict = True
+    for key, arg in schema.items():
+        if key in ("$schema", "$id", "title", "then"):
+            continue
+        if key == "type":
+            ok = {"object": t == "object", "array": t == "array", "string": t == "string",
+                  "number": t in ("int", "float"),
+                  "integer": True if t == "int" else None if t == "float" else False}.get(arg)
+        elif key in ("enum", "const"):
+            options = arg if key == "enum" else [arg]
+            ok = value in options if t == "string" and all(type(o) is str for o in options) else None
+        elif key in _BOUNDS:
+            if t not in ("int", "float"):
+                ok = True  # bounds apply to numbers only, and a bool is not one
+            elif value != value or type(arg) not in (int, float):
+                ok = None  # every comparison with a NaN is false
+            else:
+                ok = _BOUNDS[key](value, arg)
+        elif key == "required":
+            ok = t != "object" or all(name in value for name in arg)
+        elif key == "properties":
+            ok = t != "object" or _every(_admits(sub, value[k]) for k, sub in arg.items() if k in value)
+        elif key == "items":
+            ok = t != "array" or _every(_admits(arg, item) for item in value)
+        elif key == "allOf":
+            ok = _every(_admits(sub, value) for sub in arg)
+        elif key == "anyOf":
+            verdicts = [_admits(sub, value) for sub in arg]
+            ok = True if True in verdicts else None if None in verdicts else False
+        elif key == "if":
+            condition = _admits(arg, value)  # an unsure condition leaves the answer unsure
+            ok = True if condition is False else condition and _admits(schema.get("then", {}), value)
+        else:
+            return None
+        if ok is False:
+            return False
+        if ok is None:
+            verdict = None
+    return verdict
 
 
 def _array_shapes(schema, depth=0):
@@ -68,7 +146,7 @@ def _array_shapes(schema, depth=0):
 def _array_fields():
     """kind -> {field: [(depth, minimum), ...]} for the array fields of each kind's branch."""
     table = {}
-    for branch in _validator().schema["allOf"]:
+    for branch in _schema()["allOf"]:
         fields = {}
         for name, sub in branch["then"]["properties"].items():
             shapes = [(d, m) for d, m in _array_shapes(sub) or () if d > 0]  # arrays only
@@ -108,18 +186,21 @@ def _vouch(value, shapes):
 def validate_instance_dict(doc):
     """Schema-check a parsed instance document; raises InstanceError.
 
-    jsonschema is the only judge.  Array fields that numpy vouches for are
-    replaced by ``[]``, which the schema admits for each of them, before
-    jsonschema checks the rest; no rule ties fields together beyond
-    ``kind``, so the verdict is the same.  A rejected document goes through
-    jsonschema whole, so every message is its own.
+    Array fields that numpy vouches for are replaced by ``[]``, which the
+    schema admits for each of them; no rule ties fields together beyond
+    ``kind``, so the verdict is the same.  ``_admits`` then walks the rest.
+    A document it does not call valid goes to jsonschema, which judges it
+    and, on a rejection, walks it whole, so every message is its own.
     Returns the vouched arrays as float ndarrays, by field name.
     """
     kind = doc.get("kind") if isinstance(doc, dict) else None
     fields = _array_fields().get(kind, {}) if isinstance(kind, str) else {}
     arrays = {name: _vouch(doc[name], shapes) for name, shapes in fields.items() if name in doc}
     arrays = {name: arr for name, arr in arrays.items() if arr is not None}
-    if not _validator().is_valid({**doc, **dict.fromkeys(arrays, [])} if arrays else doc):
+    rest = {**doc, **dict.fromkeys(arrays, [])} if arrays else doc
+    if _admits(_schema(), rest) is not True and not _validator().is_valid(rest):
+        import jsonschema
+
         error = jsonschema.exceptions.best_match(_validator().iter_errors(doc))
         raise InstanceError(f"invalid instance at {error.json_path}: {error.message}") from error
     return arrays
@@ -169,24 +250,30 @@ KINDS = {
 
 
 def read_instance(path, what="instance"):
-    """The JSON object at ``path``; raises InstanceError calling the file a ``what`` file."""
+    """The JSON object at ``path`` and the bytes it was parsed from.
+
+    Raises InstanceError calling the file a ``what`` file.
+    """
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        doc = json.loads(data)
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or text that is not UTF-8
         raise InstanceError(f"cannot read {what} file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InstanceError(f"{what} file must contain a JSON object")
-    return doc
+    return doc, data
 
 
 def load_instance(path, overrides=None):
-    """Read, validate and build the instance at ``path``; returns (kind, instance).
+    """Read, validate and build the instance at ``path``; returns (kind, instance, sha256).
 
-    ``overrides`` may set q, lambda, horizon; command-line values take
-    precedence over the document's fields.  Every number must be finite.
+    ``sha256`` is the hex digest of the bytes that were parsed, so a file
+    rewritten later is still recorded as it was read.  ``overrides`` may
+    set q, lambda, horizon; command-line values take precedence over the
+    document's fields.  Every number must be finite.
     """
-    doc = read_instance(path)
+    doc, data = read_instance(path)
     for key in ("q", "lambda", "horizon"):
         if overrides and overrides.get(key) is not None:
             doc[key] = overrides[key]
@@ -202,7 +289,7 @@ def load_instance(path, overrides=None):
         for name, value in args.items():
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"{name} must be finite")
-        return kind, cls(**args)
+        return kind, cls(**args), hashlib.sha256(data).hexdigest()
     except (ValueError, OverflowError) as exc:
         raise InstanceError(f"invalid {kind} instance: {exc}") from exc
 

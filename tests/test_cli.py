@@ -1,5 +1,9 @@
+import hashlib
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -7,6 +11,7 @@ import pytest
 
 import qoc.entmax
 import qoc.io
+import qoc.qkl
 from qoc.cli import main
 from qoc.io import InstanceError, load_instance, validate_instance_dict
 from qoc.qlqr import solve_qlqr
@@ -35,6 +40,12 @@ class TestValidate:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["validate", str(bad)]) == 1
+
+    def test_text_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"kind": "\xff"}')
+        assert run(["validate", str(bad)]) == 1
+        assert f"error: cannot read instance file {bad}: 'utf-8' codec" in capsys.readouterr().err
 
     def test_schema_violation_reports_location(self, tmp_path, capsys):
         doc = json.load(open(instance_path("qkl_ring4.json")))
@@ -94,6 +105,43 @@ class TestValidate:
         assert run(["validate", str(path)]) == 1
         message = "$.stage_cost[3][1][2]: False is not of type 'number'"
         assert capsys.readouterr().err == f"error: invalid instance at {message}\n"
+
+
+VALID_RUN = """
+import contextlib, io, json, os, sys
+from qoc.cli import main
+
+instances, out = sys.argv[1:]
+quiet = contextlib.redirect_stdout(io.StringIO())
+for name in sorted(os.listdir(instances)):
+    path = os.path.join(instances, name)
+    solution = os.path.join(out, name, "solution.json")
+    with quiet:
+        codes = [main(["validate", path]),
+                 main(["solve", path, "--out", os.path.join(out, name)]),
+                 main(["sweep", path, "--grid", "0.2,0.4", "--out", os.path.join(out, name)])]
+        if json.load(open(path))["kind"] != "troc":
+            codes.append(main(["simulate", path, solution, "--steps", "3", "--trajectories", "2",
+                               "--out", os.path.join(out, name)]))
+    assert codes == [0] * len(codes), (name, codes)
+print("jsonschema" in sys.modules)
+bad = json.load(open(os.path.join(instances, "qkl_ring4.json")))
+bad["q"] = 1.5
+with open(os.path.join(out, "bad_q.json"), "w") as fh:
+    json.dump(bad, fh)
+print(main(["validate", os.path.join(out, "bad_q.json")]))
+"""
+
+
+def test_valid_documents_never_import_jsonschema(tmp_path):
+    """jsonschema is imported only for a document the schema-subset walk does not vouch for."""
+    src = os.path.dirname(os.path.dirname(qoc.io.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(VALID_RUN), INSTANCES, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["False", "1"]
+    assert proc.stderr == "error: invalid instance at $.q: 1.5 is greater than or equal to the maximum of 1\n"
 
 
 class TestBadNumbers:
@@ -210,6 +258,22 @@ class TestSolve:
         for entry in bundle["manifest"]:
             digest = hashlib.sha256(open(entry["path"], "rb").read()).hexdigest()
             assert digest == entry["sha256"]
+
+    def test_bundle_records_the_bytes_that_were_solved(self, tmp_path, monkeypatch):
+        path = tmp_path / "qkl_ring4.json"
+        original = open(instance_path("qkl_ring4.json"), "rb").read()
+        path.write_bytes(original)
+        solve_qkl = qoc.qkl.solve_qkl
+
+        def rewriting(instance):  # the file changes while it is being solved
+            path.write_bytes(original.replace(b"{", b'{"note": "rewritten", ', 1))
+            return solve_qkl(instance)
+
+        monkeypatch.setattr(qoc.qkl, "solve_qkl", rewriting)
+        assert run(["solve", str(path), "--out", str(tmp_path / "out")]) == 0
+        bundle = json.load(open(tmp_path / "out" / "result_bundle.json"))
+        assert bundle["instance_sha256"] == hashlib.sha256(original).hexdigest()
+        assert path.read_bytes() != original
 
     def test_deterministic_across_runs(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -343,7 +407,7 @@ class TestSweep:
         path = instance_path("qlqr_scalar.json")
         argv = ["sweep", path, "--grid", ",".join(map(repr, grid)), "--out", str(tmp_path)]
         assert run(argv) == 0
-        _, instance = load_instance(path)
+        _, instance, _ = load_instance(path)
         pi_1 = solve_qlqr(instance).pi_matrices[1]
         sigma = instance.lam / 2.0 * np.linalg.inv(instance.r_cost + instance.b.T @ pi_1 @ instance.b)
         limit = 0.5 * np.linalg.slogdet(2.0 * np.pi * np.e * sigma)[1] + 1.0
@@ -550,7 +614,7 @@ class TestSimulate:
 
 class TestIoHelpers:
     def test_load_instance_applies_overrides(self):
-        kind, inst = load_instance(
+        kind, inst, _ = load_instance(
             instance_path("qkl_ring4.json"), {"q": 0.5, "lambda": 2.0, "horizon": 7}
         )
         assert kind == "qkl"

@@ -139,8 +139,24 @@ class TestEntropies:
                 deformed_entropy(phi, q), abs=1e-12
             )
 
+    @pytest.mark.parametrize("phi", [[np.nan, 1.0], [-0.5, 1.5], [0.5, 0.6], [[0.5, 0.5], [0.5, 0.0]]])
+    @pytest.mark.parametrize("entropy", [deformed_entropy, tsallis_entropy])
+    def test_rejects_what_is_not_a_distribution(self, entropy, phi):
+        with pytest.raises(ValueError, match="phi must be non-negative and sum to 1"):
+            entropy(phi, 0.5)
+
 
 class TestQklDivergence:
+    @pytest.mark.parametrize("phi, psi, name", [
+        ([0.5, 0.5], [0.7, 0.7], "psi"),  # gave -0.206 before the check
+        ([0.7, 0.7], [0.5, 0.5], "phi"),
+        ([np.nan, 1.0], [0.5, 0.5], "phi"),
+        ([0.5, 0.5], [1.5, -0.5], "psi"),
+    ])
+    def test_rejects_what_is_not_a_distribution(self, phi, psi, name):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative and sum to 1"):
+            qkl_divergence(phi, psi, 0.5)
+
     def test_zero_on_diagonal(self):
         rng = np.random.default_rng(3)
         for q in Q_GRID:

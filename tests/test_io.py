@@ -60,7 +60,7 @@ SOLVERS = {"qkl": solve_qkl, "troc": solve_troc, "qlqr": solve_qlqr}
 
 @pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
 def test_solution_round_trip(tmp_path, name):
-    kind, instance = load_instance(instance_path(name))
+    kind, instance, _ = load_instance(instance_path(name))
     sol = SOLVERS[kind](instance)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     write_json(first, solution_to_dict(kind, sol))
@@ -222,6 +222,47 @@ def test_validation_agrees_with_the_full_schema_walk(doc):
     assert expected is None
     for name, arr in arrays.items():
         assert np.array_equal(arr, np.asarray(doc[name], dtype=float), equal_nan=True)
+
+
+SCALAR_EDITS = [("horizon", v) for v in (2.0, 1, 0, True)] + \
+    [("q", v) for v in (0.999999, 1, -0.0, float("nan"), True, "0.5")] + \
+    [("lambda", v) for v in (1e-300, 0, float("inf"), 10**400)] + \
+    [("kind", v) for v in ("x", 1, None)]
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(INSTANCES)))
+@pytest.mark.parametrize("field, value", SCALAR_EDITS)
+def test_scalar_fields_agree_with_the_full_schema_walk(name, field, value):
+    doc = json.load(open(instance_path(name)))
+    doc[field] = value
+    expected = reference_verdict(doc)
+    # the subset walk may be unsure (None), but a verdict it gives is jsonschema's
+    assert qio._admits(qio._schema(), doc) in (None, expected is None)
+    try:
+        validate_instance_dict(doc)
+    except InstanceError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected is None
+
+
+@pytest.mark.parametrize("schema, value", [
+    ({"type": "integer"}, 2.0),  # jsonschema's integer takes 2.0, but not 2.5
+    ({"minimum": 0}, float("nan")),  # no comparison with a NaN fails
+    ({"enum": [1, 2]}, 1),  # jsonschema's equality is not Python's (1 == True)
+    ({"const": "a"}, 1),
+    ({"type": "number"}, np.float64(1.0)),  # only the types json.loads produces are read
+    ({"if": {"const": "a"}, "then": {"type": "string"}}, ["a"]),
+    ({"oneOf": [{"type": "number"}]}, 1.0),  # a keyword the walk does not read
+    ({"type": "number", "maximum": 1}, 2.0),
+])
+def test_the_walk_is_unsure_outside_its_subset(schema, value):
+    assert qio._admits(schema, value) is None
+
+
+def test_schema_is_valid_for_its_draft():
+    schema = qio._schema()
+    jsonschema.validators.validator_for(schema).check_schema(schema)
 
 
 QLQR_MATRICES = ("a", "b", "q_cost", "s_cost", "r_cost", "terminal_cost")
