@@ -41,24 +41,25 @@ def _emit(args, instance_sha256, outputs, extra):
     ``instance_sha256`` is the digest of the instance bytes that were read.
     ``outputs`` maps file name to content, written in order: a dict as
     JSON, a ``(header, *tables)`` tuple as CSV.  The bundle's manifest
-    keeps that order; ``extra`` adds fields to the bundle.
+    keeps that order, with the digest each writer took of the bytes it
+    wrote; ``extra`` adds fields to the bundle.
     """
     out = args.out or os.environ.get(qio.OUTPUT_DIR_ENV) or "."
     try:
         os.makedirs(out, exist_ok=True)
-        paths = [os.path.join(out, name) for name in outputs]
-        for path, content in zip(paths, outputs.values()):
+        manifest = []
+        for name, content in outputs.items():
+            path = os.path.join(out, name)
             if isinstance(content, dict):
-                qio.write_json(path, content)
+                digest = qio.write_json(path, content)
             else:
-                qio.write_csv(path, *content)
+                digest = qio.write_csv(path, *content)
+            manifest.append({"path": os.path.abspath(path), "sha256": digest})
         bundle = {
             "instance": os.path.abspath(args.instance),
             "instance_sha256": instance_sha256,
             "overrides": {k: v for k, v in _overrides(args).items() if v is not None},
-            "manifest": [
-                {"path": os.path.abspath(p), "sha256": qio.file_checksum(p)} for p in paths
-            ],
+            "manifest": manifest,
             **extra,
         }
         qio.write_json(os.path.join(out, "result_bundle.json"), bundle)

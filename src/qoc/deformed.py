@@ -36,9 +36,21 @@ def _as_q(q):
 def _check_distributions(p, axis, what):
     """Raise ValueError unless ``p`` is non-negative and sums to 1 along ``axis``.
 
-    Both tests are written so that a NaN fails them.
+    Both tests are written so that a NaN fails them: the minimum and the
+    largest deviation of a sum from 1 are NaN then, and compare false.  A
+    sum along either of the last two axes is a product with a ones vector,
+    which is faster than ``np.sum`` on the arrays the solvers check.
     """
-    if not (np.all(p >= 0) and np.all(np.abs(np.sum(p, axis=axis) - 1.0) <= PROB_SUM_TOL)):
+    axis %= max(p.ndim, 1)
+    if p.ndim - axis == 1:
+        sums = p @ np.ones(p.shape[-1])
+    elif p.ndim - axis == 2:
+        sums = np.ones(p.shape[-2]) @ p
+    else:
+        sums = np.sum(p, axis=axis)
+    deviation = np.abs(sums - 1.0)
+    if not ((p.size == 0 or p.min() >= 0)
+            and (deviation.size == 0 or deviation.max() <= PROB_SUM_TOL)):
         raise ValueError(f"{what} must be non-negative and sum to 1")
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "atomic_write_text",
     "write_csv",
     "write_json",
-    "file_checksum",
 ]
 
 OUTPUT_DIR_ENV = "QOC_OUT_DIR"
@@ -338,33 +337,58 @@ def solution_from_dict(doc, instance):
     return cls(**fields)
 
 
-def atomic_write_text(path, *parts):
-    """Write the parts, in order, via a temp file and rename, so partial files never appear."""
+def atomic_write_text(path, chunks):
+    """Write the text ``chunks``, in order, as UTF-8 via a temp file and rename; returns the SHA-256.
+
+    Each chunk is encoded, hashed and written before the next is taken, so
+    the returned hex digest is that of the bytes on disk and no more than
+    one chunk is held at a time.  Partial files never appear: on any
+    error the temp file is removed and ``path`` is left as it was.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    digest = hashlib.sha256()
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(parts)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                data = chunk.encode()
+                digest.update(data)
+                fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return digest.hexdigest()
+
+
+# cells formatted per ``%`` operation in write_csv, which bounds a CSV write's memory
+CSV_BLOCK_CELLS = 1 << 14
+
+
+def _csv_chunks(header, tables):
+    """The CSV text of ``write_csv``, one block of at most CSV_BLOCK_CELLS cells at a time."""
+    yield ",".join(header) + "\n"
+    for table in tables:
+        table = np.asarray(table)
+        rows, cols = table.shape
+        line = ",".join(["%.17g"] * cols + [""] * (len(header) - cols)) + "\n"
+        step = max(1, CSV_BLOCK_CELLS // max(cols, 1))
+        for start in range(0, rows, step):
+            block = table[start:start + step]
+            yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def write_csv(path, header, *tables):
-    """Atomic CSV write of 2-d numeric tables, in order, below one header.
+    """Atomic CSV write of 2-d numeric tables, in order, below one header; returns the SHA-256.
 
     Every cell is written with 17 significant digits (a lossless round
     trip); a table narrower than the header ends its rows in empty cells.
+    Each block of rows up to CSV_BLOCK_CELLS cells is one ``%`` over a
+    repeated ``%.17g`` row template, so a write holds one block at a time.
     """
-    parts = [",".join(header) + "\n"]
-    for table in tables:
-        rows, cols = np.shape(table)
-        line = ",".join(["%.17g"] * cols + [""] * (len(header) - cols)) + "\n"
-        parts.append((line * rows) % tuple(np.ravel(table).tolist()))
-    atomic_write_text(path, *parts)
+    return atomic_write_text(path, _csv_chunks(header, tables))
 
 
 def _jsonable(obj):
@@ -415,12 +439,9 @@ def _json_chunks(obj, level=0):
 
 
 def write_json(path, payload):
-    """Atomic write of ``payload`` as json.dumps(indent=2, sort_keys=True) plus a newline."""
-    atomic_write_text(path, *_json_chunks(payload), "\n")
+    """Atomic write of ``payload`` as json.dumps(indent=2, sort_keys=True) plus a newline.
 
-
-def file_checksum(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        digest.update(fh.read())
-    return digest.hexdigest()
+    The text goes to ``atomic_write_text`` in ``_json_chunks``' chunks, so
+    the whole document is never held at once; returns its SHA-256.
+    """
+    return atomic_write_text(path, itertools.chain(_json_chunks(payload), ["\n"]))

@@ -249,12 +249,24 @@ class TestSolve:
         assert np.allclose(mats.sum(axis=1), 1.0, atol=1e-9)
 
     def test_bundle_manifest_checksums(self, tmp_path):
-        import hashlib
-
         out = str(tmp_path)
         run(["solve", instance_path("qlqr_scalar.json"), "--out", out])
         bundle = json.load(open(os.path.join(out, "result_bundle.json")))
         assert bundle["kind"] == "qlqr"
+        for entry in bundle["manifest"]:
+            digest = hashlib.sha256(open(entry["path"], "rb").read()).hexdigest()
+            assert digest == entry["sha256"]
+        # a simulation whose trajectories.csv is written in several blocks
+        solution = os.path.join(out, "solution.json")
+        sim = str(tmp_path / "sim")
+        args = ["simulate", instance_path("qlqr_scalar.json"), solution, "--out", sim,
+                "--steps", "30", "--trajectories", "500"]
+        assert run(args) == 0
+        bundle = json.load(open(os.path.join(sim, "result_bundle.json")))
+        paths = [entry["path"] for entry in bundle["manifest"]]
+        assert [os.path.basename(p) for p in paths] == ["envelope.csv", "trajectories.csv"]
+        rows = open(paths[1]).read().count("\n") - 1  # of (stage, trajectory, x0, u0)
+        assert rows == 31 * 500 and 4 * rows > 3 * qoc.io.CSV_BLOCK_CELLS
         for entry in bundle["manifest"]:
             digest = hashlib.sha256(open(entry["path"], "rb").read()).hexdigest()
             assert digest == entry["sha256"]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from qoc.deformed import (
+    PROB_SUM_TOL,
     DeformationParameter,
     DiscreteDistribution,
+    _check_distributions,
     deformed_entropy,
     exp_q,
     log_q,
@@ -177,3 +179,59 @@ class TestQklDivergence:
             n = rng.integers(2, 6)
             phi, psi = random_distribution(rng, n), random_distribution(rng, n)
             assert qkl_divergence(phi, psi, q) >= -1e-13
+
+
+def reference_accepts(p, axis):
+    """The distribution check as ``np.all`` and ``np.sum`` write it."""
+    return bool(np.all(p >= 0) and np.all(np.abs(np.sum(p, axis=axis) - 1.0) <= PROB_SUM_TOL))
+
+
+# (shape, axis) as the callers pass them: troc kernels, qkl columns and initial
+# laws, controlled matrices, and the rows of the entropies and divergences
+CHECKED_SHAPES = [((3, 2, 4), 2), ((4,), 0), ((4, 3), 0), ((2, 4, 3), -2), ((4,), -1),
+                  ((3, 4), -1)]
+
+
+def perturbed_distributions(shape, axis, change):
+    """Distributions along ``axis`` of ``shape`` whose first entry, a zero, gets ``change``."""
+    rng = np.random.default_rng(len(shape) + axis)
+    p = rng.random(shape)
+    first = [0] * len(shape)
+    np.moveaxis(p, axis, 0)[0] = 0.0
+    p /= np.sum(p, axis=axis, keepdims=True)
+    if change == "negative":
+        second = list(first)
+        second[axis] = 1
+        p[tuple(first)], p[tuple(second)] = -0.1, p[tuple(second)] + 0.1
+    elif change in ("off by 2e-9", "off by 5e-10"):
+        p[tuple(first)] += float(change.split()[-1])
+    elif change is not None:
+        p[tuple(first)] = change
+    return p
+
+
+class TestCheckDistributions:
+    @pytest.mark.parametrize("shape, axis", CHECKED_SHAPES)
+    @pytest.mark.parametrize("change, accepted", [
+        (None, True), (np.nan, False), (np.inf, False), (-np.inf, False), (-0.0, True),
+        ("negative", False), ("off by 2e-9", False), ("off by 5e-10", True),
+    ])
+    def test_verdict_matches_the_reference(self, shape, axis, change, accepted):
+        p = perturbed_distributions(shape, axis, change)
+        assert reference_accepts(p, axis) is accepted
+        if accepted:
+            _check_distributions(p, axis, "p")
+        else:
+            with pytest.raises(ValueError, match="p must be non-negative and sum to 1"):
+                _check_distributions(p, axis, "p")
+
+    @pytest.mark.parametrize("shape, axis", CHECKED_SHAPES)
+    @pytest.mark.parametrize("empty_axis", [0, -1])
+    def test_empty_arrays_get_the_reference_verdict(self, shape, axis, empty_axis):
+        p = np.zeros(shape[:empty_axis % len(shape)] + (0,) + shape[empty_axis % len(shape) + 1:])
+        try:
+            _check_distributions(p, axis, "p")
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted is reference_accepts(p, axis)

@@ -2,9 +2,11 @@
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
+import tracemalloc
 
 import jsonschema
 import numpy as np
@@ -118,6 +120,45 @@ def test_write_csv_zero_rows_writes_the_header_only(tmp_path):
     assert path.read_text() == "parameter,cost\n"
 
 
+def test_write_csv_streams_blocks_that_join_to_the_per_cell_text(tmp_path):
+    rng = np.random.default_rng(7)
+    header = ["stage", "a", "b", "c", "d"]
+    rows_per_block = qio.CSV_BLOCK_CELLS // len(header)
+    wide = rng.standard_normal((3 * rows_per_block + 17, 5)) * 10.0 ** rng.integers(-300, 300, 5)
+    narrow = rng.standard_normal((4, 3))
+    path = tmp_path / "t.csv"
+    digest = write_csv(path, header, wide, narrow, np.empty((0, 5)))
+    expected = per_cell_csv(header, wide.tolist() + [row + ["", ""] for row in narrow.tolist()])
+    assert path.read_bytes() == expected
+    assert digest == hashlib.sha256(expected).hexdigest()
+
+
+def test_write_csv_memory_is_bounded_by_a_block(tmp_path):
+    table = np.random.default_rng(8).standard_normal((12000, 18))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        write_csv(path, [f"c{j}" for j in range(18)], table)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 4e6
+    assert peak < size / 2, (peak, size)
+
+
+def test_write_csv_failing_in_a_later_block_leaves_the_old_file(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("old\n")
+    table = np.ones((3 * qio.CSV_BLOCK_CELLS, 2), dtype=object)
+    table[-1, -1] = "not a number"
+    with pytest.raises(TypeError):
+        write_csv(path, ["a", "b"], table)
+    assert path.read_text() == "old\n"
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
 def test_write_json_matches_json_dumps(tmp_path):
     rng = np.random.default_rng(6)
     spread = rng.standard_normal(60) * 10.0 ** rng.integers(-300, 300, 60)
@@ -138,9 +179,10 @@ def test_write_json_matches_json_dumps(tmp_path):
         "seed": None,
     }
     path = tmp_path / "payload.json"
-    write_json(path, payload)
+    digest = write_json(path, payload)
     expected = json.dumps(qio._jsonable(payload), indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == expected.encode()
+    assert digest == hashlib.sha256(expected.encode()).hexdigest()
 
 
 # --------------------------------------------------- the validation fast path
