@@ -8,7 +8,6 @@ input noise.
 
 from .deformed import (
     DeformationParameter,
-    DiscreteDistribution,
     deformed_entropy,
     exp_q,
     log_q,
@@ -16,8 +15,6 @@ from .deformed import (
     tsallis_entropy,
 )
 from .entmax import (
-    EntmaxResult,
-    QuadraticEntmaxResult,
     entmax_discrete,
     entmax_quadratic,
     entmax_rows,

@@ -8,7 +8,6 @@ import numpy as np
 
 __all__ = [
     "DeformationParameter",
-    "DiscreteDistribution",
     "exp_q",
     "log_q",
     "deformed_entropy",
@@ -52,31 +51,6 @@ def _check_distributions(p, axis, what):
     if not ((p.size == 0 or p.min() >= 0)
             and (deviation.size == 0 or deviation.max() <= PROB_SUM_TOL)):
         raise ValueError(f"{what} must be non-negative and sum to 1")
-
-
-class DiscreteDistribution:
-    """Probability vector on a finite set.
-
-    Entries must be non-negative and sum to one within ``PROB_SUM_TOL``.
-    """
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1 or w.size == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        _check_distributions(w, 0, "weights")
-        self.weights = w
-        self.weights.flags.writeable = False
-
-    @property
-    def support(self):
-        """Indices with strictly positive probability."""
-        return np.flatnonzero(self.weights > 0)
-
-    def __repr__(self):
-        return f"DiscreteDistribution({self.weights.tolist()})"
 
 
 def _exp_q_scaled(a, q):

@@ -6,30 +6,22 @@ E_phi[Q] - lambda * H_q(phi) over the simplex is
     phi_i = w_i * exp_q(-Q_i / lambda + C),
 
 with C fixed by normalization.  Because exp_q clips to zero, the solution
-can be exactly sparse for q < 1.  The quadratic-cost analogue has a
-closed-form q-Gaussian minimizer.
+can be exactly sparse for q < 1.  ``entmax_rows`` solves a stack of rows
+and returns ``(probs, C, objective)``; ``entmax_discrete`` and
+``entmax_weighted`` return its row 0 as a 1-d array and two floats.  The
+quadratic-cost analogue has a closed-form q-Gaussian minimizer, which
+``entmax_quadratic`` returns as ``(QGaussian, eta)``.
 """
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
 # exp_q is not called here, but bench/spans.py wraps qoc.entmax.exp_q
-from .deformed import (
-    DiscreteDistribution,
-    _as_q,
-    _deformed_entropy,
-    _exp_q_scaled,
-    _qkl_divergence,
-    exp_q,
-    log_q,
-)
+from .deformed import _as_q, _deformed_entropy, _exp_q_scaled, _qkl_divergence, exp_q, log_q
 from .qgaussian import QGaussian, _check_spd, _deformation_scale, _log_ball_integral
 
 __all__ = [
-    "EntmaxResult",
-    "QuadraticEntmaxResult",
     "entmax_rows",
     "entmax_discrete",
     "entmax_weighted",
@@ -37,20 +29,7 @@ __all__ = [
     "deformation_eta",
 ]
 
-ROOT_MAX_ITER = 100  # Newton steps per row; well-posed rows take at most about 10
-
-
-@dataclass(frozen=True)
-class EntmaxResult:
-    distribution: DiscreteDistribution
-    normalizer_c: float
-    objective_value: float
-
-
-@dataclass(frozen=True)
-class QuadraticEntmaxResult:
-    gaussian: QGaussian
-    eta: float
+ROOT_MAX_ITER = 100  # Newton steps per row; seeded random rows of 10 000 entries take at most 15
 
 
 def _check_lam(lam):
@@ -154,17 +133,17 @@ def entmax_rows(costs, weights, lam, q):
     return probs, (d + c_j / lam)[:, 0], objective
 
 
-def _one_row(costs, weights, lam, q):
-    probs, c, objective = entmax_rows(costs[None], weights, lam, q)
-    return EntmaxResult(DiscreteDistribution(probs[0]), float(c[0]), float(objective[0]))
-
-
 def entmax_discrete(costs, lam, q):
-    """Unique minimizer of E_phi[costs] - lam * H_q(phi) over the simplex."""
+    """Unique minimizer of E_phi[costs] - lam * H_q(phi) over the simplex.
+
+    Returns row 0 of ``entmax_rows``: ``(probs, C, objective)``, a 1-d
+    array and two floats.
+    """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 1:
         raise ValueError("costs must be a 1-d vector")
-    return _one_row(costs, None, lam, q)
+    probs, c, objective = entmax_rows(costs[None], None, lam, q)
+    return probs[0], float(c[0]), float(objective[0])
 
 
 def entmax_weighted(costs, weights, lam, q):
@@ -173,12 +152,14 @@ def entmax_weighted(costs, weights, lam, q):
     The solution satisfies phi_i = weights_i * exp_q(-costs_i/lam + C) and
     inherits the support of ``weights``: zero-weight indices stay exactly
     zero, so only transitions already possible without control are used.
+    Returns row 0 of ``entmax_rows`` as ``entmax_discrete`` does.
     """
     costs = np.asarray(costs, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if costs.ndim != 1 or costs.shape != weights.shape:
         raise ValueError("costs and weights must be 1-d vectors of matching shapes")
-    return _one_row(costs, weights[None], lam, q)
+    probs, c, objective = entmax_rows(costs[None], weights[None], lam, q)
+    return probs[0], float(c[0]), float(objective[0])
 
 
 def deformation_eta(r_matrix, lam, q):
@@ -204,6 +185,7 @@ def entmax_quadratic(r_matrix, mean, lam, q):
 
     The minimizer of the regularized objective is the q-Gaussian
     N_q(mean, Sigma) with Sigma^{-1} = ((n+4)-(n+2)q)/lam * eta * R.
+    Returns ``(QGaussian(mean, Sigma, q), eta)``.
     """
     q = _as_q(q)
     r_matrix = np.atleast_2d(np.asarray(r_matrix, dtype=float))
@@ -214,4 +196,4 @@ def entmax_quadratic(r_matrix, mean, lam, q):
     sigma_inv = _deformation_scale(n, q) / lam * eta * r_matrix
     sigma = np.linalg.inv(sigma_inv)
     sigma = 0.5 * (sigma + sigma.T)
-    return QuadraticEntmaxResult(QGaussian(mean, sigma, q), eta)
+    return QGaussian(mean, sigma, q), eta

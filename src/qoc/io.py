@@ -7,7 +7,7 @@ import itertools
 import json
 import operator
 import os
-import tempfile
+import secrets
 from importlib import resources
 
 import numpy as np
@@ -343,11 +343,14 @@ def atomic_write_text(path, chunks):
     Each chunk is encoded, hashed and written before the next is taken, so
     the returned hex digest is that of the bytes on disk and no more than
     one chunk is held at a time.  Partial files never appear: on any
-    error the temp file is removed and ``path`` is left as it was.
+    error the temp file is removed and ``path`` is left as it was.  The
+    temp file is created with mode 0o666, so the file's mode follows the
+    process umask as ``open`` would give it.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{secrets.token_hex(8)}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     digest = hashlib.sha256()
     try:
         with os.fdopen(fd, "wb") as fh:

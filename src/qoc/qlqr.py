@@ -115,10 +115,9 @@ def _package(instance, pis, gains, effective_costs):
     sigmas, etas, radii = [], [], []
     for k, r_t in enumerate(effective_costs):
         with _solver_stage(f"stage {k}"):
-            noise = entmax_quadratic(r_t, np.zeros(r_t.shape[0]), instance.lam, instance.q)
-            gaussian = noise.gaussian
+            gaussian, eta = entmax_quadratic(r_t, np.zeros(r_t.shape[0]), instance.lam, instance.q)
             sigmas.append(gaussian.sigma)
-            etas.append(noise.eta)
+            etas.append(eta)
             radii.append(np.sqrt(np.linalg.eigvalsh(gaussian.sigma) * gaussian.support_threshold))
     return QlqrSolution(
         np.asarray(pis),

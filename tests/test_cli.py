@@ -287,6 +287,18 @@ class TestSolve:
         assert bundle["instance_sha256"] == hashlib.sha256(original).hexdigest()
         assert path.read_bytes() != original
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+    @pytest.mark.parametrize("name", ["troc_small.json", "qkl_ring4.json", "qlqr_scalar.json"])
+    def test_output_modes_follow_the_umask(self, tmp_path, name, umask, mode):
+        old = os.umask(umask)
+        try:
+            assert run(["solve", instance_path(name), "--out", str(tmp_path)]) == 0
+        finally:
+            os.umask(old)
+        written = list(tmp_path.iterdir())
+        assert (tmp_path / "result_bundle.json") in written
+        assert {oct(p.stat().st_mode & 0o777) for p in written} == {oct(mode)}
+
     def test_deterministic_across_runs(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out in (out1, out2):

@@ -4,7 +4,6 @@ import pytest
 from qoc.deformed import (
     PROB_SUM_TOL,
     DeformationParameter,
-    DiscreteDistribution,
     _check_distributions,
     deformed_entropy,
     exp_q,
@@ -30,24 +29,6 @@ class TestDeformationParameter:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             DeformationParameter(bad)
-
-
-class TestDiscreteDistribution:
-    def test_support(self):
-        d = DiscreteDistribution([0.5, 0.0, 0.5])
-        assert list(d.support) == [0, 2]
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution([0.5, 0.4])
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            DiscreteDistribution([1.1, -0.1])
-
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError, match="weights must be non-negative and sum to 1"):
-            DiscreteDistribution([np.nan, 1.0])
 
 
 class TestExpLog:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 import qoc.entmax
 from qoc.deformed import exp_q, log_q
-from qoc.entmax import entmax_discrete, entmax_rows, entmax_weighted
+from qoc.entmax import entmax_discrete, entmax_quadratic, entmax_rows, entmax_weighted
+from qoc.qgaussian import QGaussian
 
 from oracle import GridSpec, brute_force_entmax, sparsemax
 
@@ -47,6 +48,29 @@ def test_stack_matches_rows_alone_bitwise(stack, lam, q):
         p1, c1, o1 = entmax_rows(costs[r : r + 1], w, lam, q)
         assert np.array_equal(p1[0], probs[r])
         assert c1[0] == c[r] and o1[0] == objective[r]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(row_stacks(max_rows=1), LAMS, QS)
+def test_views_return_row_0_of_the_kernel(stack, lam, q):
+    costs, weights = stack
+    if weights is None:
+        view = entmax_discrete(costs[0], lam, q)
+    else:
+        view = entmax_weighted(costs[0], weights[0], lam, q)
+    probs, c, objective = entmax_rows(costs, weights, lam, q)
+    assert [type(x) for x in view] == [np.ndarray, float, float]
+    assert view[0].shape == probs[0].shape and np.array_equal(view[0], probs[0])
+    assert view[1] == c[0] and view[2] == objective[0]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(row_stacks(max_rows=1, weighted=False), LAMS, QS)
+def test_quadratic_returns_a_q_gaussian_and_eta(stack, lam, q):
+    costs, _ = stack
+    r_matrix = np.diag(1.0 + costs[0] ** 2)
+    result = entmax_quadratic(r_matrix, np.zeros(costs.shape[1]), lam, q)
+    assert [type(x) for x in result] == [QGaussian, float]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -103,10 +127,10 @@ def test_tiny_lambda_rows_raise_no_warning(q):
     rng = np.random.default_rng(17)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = entmax_discrete([0.0, 1.0, 3.0], lam, q)
-        assert res.distribution.weights[0] == 1.0
-        res = entmax_weighted([0.0, 1.0, 3.0], [0.2, 0.3, 0.5], lam, q)
-        assert res.distribution.weights[0] == 1.0
+        probs, _, _ = entmax_discrete([0.0, 1.0, 3.0], lam, q)
+        assert probs[0] == 1.0
+        probs, _, _ = entmax_weighted([0.0, 1.0, 3.0], [0.2, 0.3, 0.5], lam, q)
+        assert probs[0] == 1.0
         for _ in range(40):
             k = int(rng.integers(2, 12))
             costs = rng.normal(size=(8, k)) * rng.choice([1e-6, 1.0, 10.0])
@@ -123,9 +147,9 @@ def test_tiny_weights_keep_a_short_bracket(q, tiny):
     # the argmin's own bound log_q(1/tiny) is huge; another entry's bound is 1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = entmax_weighted([0.0, 1.0], [tiny, 1.0], 1.0, q)
-    assert res.distribution.weights[1] == pytest.approx(1.0, abs=1e-12)
-    assert res.normalizer_c == pytest.approx(1.0, abs=1e-12)
+        probs, c, _ = entmax_weighted([0.0, 1.0], [tiny, 1.0], 1.0, q)
+    assert probs[1] == pytest.approx(1.0, abs=1e-12)
+    assert c == pytest.approx(1.0, abs=1e-12)
 
 
 @st.composite
@@ -172,3 +196,33 @@ def test_root_iteration_cap_names_the_row(monkeypatch):
     message = r"did not converge in row \d after 1 Newton steps: g \S+"
     with pytest.raises(RuntimeError, match=message):
         entmax_rows(costs, None, 1.0, 0.5)
+
+
+def newton_families(seed, k, rows):
+    """Seeded (costs, weights, lam, q) of width k; weights unit or Dirichlet.
+
+    q is 0, U(0, 0.99) or 1 - 10^-U(1, 8).
+    """
+    rng = np.random.default_rng([seed, k])
+    for weighted in (False, True):
+        for q in (0.0, rng.uniform(0.0, 0.99), 1.0 - 10.0 ** -rng.uniform(1.0, 8.0)):
+            lam = 10.0 ** rng.uniform(-1.0, 1.0)
+            costs = rng.normal(size=(rows, k)) * rng.choice([0.1, 1.0, 10.0])
+            weights = rng.dirichlet(np.ones(k), size=rows) if weighted else None
+            yield costs, weights, lam, q
+
+
+@pytest.mark.parametrize("k, rows, steps", [(50, 200, 10), (10_000, 4, 15)])
+def test_newton_step_bound(monkeypatch, k, rows, steps):
+    # the README's bound: every row converges within ``steps`` Newton steps, and some row needs all
+    needing_all = 0
+    for seed in range(40):
+        for family in newton_families(seed, k, rows):
+            monkeypatch.setattr(qoc.entmax, "ROOT_MAX_ITER", steps - 1)
+            try:
+                entmax_rows(*family)
+            except RuntimeError:
+                needing_all += 1
+                monkeypatch.setattr(qoc.entmax, "ROOT_MAX_ITER", steps)
+                entmax_rows(*family)
+    assert needing_all > 0
