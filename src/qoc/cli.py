@@ -8,6 +8,7 @@ listing every emitted file and its checksum.  All output is deterministic;
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 
@@ -168,7 +169,9 @@ def cmd_validate(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The ``qoc`` argument parser, built once per process and reused by every ``main`` call."""
     parser = _Parser(prog="qoc", description="entropy-regularized control solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 

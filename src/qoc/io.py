@@ -366,8 +366,173 @@ def atomic_write_text(path, chunks):
     return digest.hexdigest()
 
 
-# cells formatted per ``%`` operation in write_csv, which bounds a CSV write's memory
-CSV_BLOCK_CELLS = 1 << 14
+# cells per CSV block; a CSV write holds one block's text and temporaries at a time
+CSV_BLOCK_CELLS = 1 << 12
+
+# An exact '%.17g' for a block of doubles, without a Python call per cell.
+#
+# A double with 1e-4 <= |x| < 2**51 is m * 2**(be - 1075), m < 2**53 and be its
+# biased exponent, and its decimal exponent X is in -4..15, so '%.17g' writes
+# it in fixed notation from the 17 significant digits
+# D = round-half-even(m * 5**k / 2**(1075 - k - be)), k = 16 - X.  As 5**k < 2**47,
+# m * 5**k < 2**100 is held in two 64-bit words made from 32-bit limbs; the
+# shift 1075 - k - be stays in 1..46, so every dropped bit lies in the low
+# word.  No such double rounds up to D = 10**17: the largest double below each
+# power of ten from 1e-3 to 1e16 keeps 17 digits below it.  Every operand is an
+# explicit uint64, so no promotion rule of any numpy version makes one a float.
+#
+# searchsorted on _CSV_EDGES classes a cell by |x|: 0 for zero, 1 for
+# 0 < |x| < 1e-4, 2 + X in the kernel's range, 22 from 2**51 on and for NaN.
+# Each 1eX literal is the smallest double >= 10**X, so |x| >= 10**X exactly when
+# |x| reaches its edge.  Cells of classes 1 and 22 are formatted by '%' instead.
+_CSV_EDGES = np.array([5e-324] + [float(f"1e{x}") for x in range(-4, 16)] + [2.0**51])
+_CSV_OUTSIDE = np.zeros(23, bool)
+_CSV_OUTSIDE[[1, 22]] = True
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+
+# A cell is built in 40 bytes, '-0.000' d0 '.' d1 '.' ... '.' d16 ',', from five
+# 8-byte words of _CSV_TEXT looked up by the digit groups d0, d1-d4, d5-d8,
+# d9-d12 and d13-d16.  A layout row per (sign, X, significant digits) marks the
+# bytes '%.17g' keeps, and one compress of the block keeps them.
+_CELL = 40
+_TEXT_BASE = np.array([0, 10, 10, 10, 10], _U64)
+_SIGNIFICANT_BASE = np.array([[0], [10], [10 + 10**4], [10 + 2 * 10**4], [10 + 3 * 10**4]], _U64)
+
+
+def _csv_class_tables():
+    """Per class: 5**k in 32-bit halves, 1075 - k, and the class's first layout row."""
+    x = [0, 0] + list(range(-4, 16)) + [0]  # zero and the outside classes as X = 0
+    # zero, whose biased exponent is 0, has D = 0 under any shift in 1..46
+    five = np.array([0] + [5 ** (16 - v) for v in x[1:]], _U64)
+    shift = np.array([32] + [1059 + v for v in x[1:]], _U64)
+    return five & _LOW32, five >> _U64(32), shift, np.array([(v + 4) * 18 for v in x])
+
+
+def _csv_digit_tables():
+    """The text words (d0 words, then d-d-d-d words) and, per group position, significant digits.
+
+    The second table gives the significant digits up to a group's last
+    nonzero digit, or 0 for a zero group, at _SIGNIFICANT_BASE offsets.
+    """
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T  # of 0 .. 9999
+    word = np.full((10**4, 8), ord("."), np.uint8)
+    word[:, ::2] = digits + ord("0")
+    first = np.tile(np.frombuffer(b"-0.000d.", np.uint8), (10, 1))
+    first[:, 6] = ord("0") + np.arange(10, dtype=np.uint8)
+    last_nonzero = np.max((digits > 0) * np.arange(1, 5, dtype=np.uint8), axis=1)
+    counts = [np.arange(10) > 0] + [np.where(last_nonzero > 0, last_nonzero + start, 0)
+                                    for start in np.array([1, 5, 9, 13], np.uint8)]
+    return np.concatenate([first, word]).view(_U64).ravel(), np.concatenate(counts).astype(np.uint8)
+
+
+def _csv_layouts():
+    """Kept-byte masks by (negative, X + 4, significant digits), then one for an empty cell."""
+    negative = np.arange(2)[:, None, None, None]
+    x = np.arange(-4, 16)[:, None, None]
+    significant = np.arange(18)[:, None]
+    shown = np.where(x < 0, significant, np.maximum(significant, x + 1))  # digits written
+    b = np.arange(_CELL)
+    digit = (b - 6) // 2
+    keep = (
+        ((b == 0) & (negative == 1))
+        | ((b >= 1) & (b <= 1 - x) & (x < 0))  # '0.' and -X - 1 zeros
+        | ((b >= 6) & (b % 2 == 0) & (digit < shown))
+        | ((b >= 7) & (b % 2 == 1) & (digit == x) & (shown > x + 1))  # the point after digit X
+        | (b == _CELL - 1)
+    )
+    return np.concatenate([keep.reshape(-1, _CELL), [b == _CELL - 1]]).view(_U64)
+
+
+_FIVE_LO, _FIVE_HI, _SHIFT, _CLASS_ROW = _csv_class_tables()
+_CSV_TEXT, _CSV_SIGNIFICANT = _csv_digit_tables()
+_CSV_LAYOUT = _csv_layouts()
+_EMPTY_CELL = len(_CSV_LAYOUT) - 1
+
+
+def _csv_template(block, width):
+    """``block`` as CSV text by one '%' over a repeated '%.17g' row template."""
+    rows, cols = block.shape
+    line = ",".join(["%.17g"] * cols + [""] * (width - cols)) + "\n"
+    return (line * rows) % tuple(block.ravel().tolist())
+
+
+def _csv_digits(ax, cls):
+    """D, the 17 significant digits of each |x| of class ``cls`` as a uint64 (0 for zero)."""
+    bits = ax.view(_U64)
+    shift = _SHIFT.take(cls)
+    shift -= bits >> _U64(52)
+    m_lo = bits & _U64((1 << 52) - 1)
+    m_lo |= _U64(1 << 52)
+    m_hi = m_lo >> _U64(32)
+    m_lo &= _LOW32
+    c_lo, c_hi = _FIVE_LO.take(cls), _FIVE_HI.take(cls)
+    low = m_lo * c_lo
+    middle = m_hi * c_lo
+    middle += m_lo * c_hi
+    middle += low >> _U64(32)
+    high = m_hi * c_hi
+    high += middle >> _U64(32)
+    low &= _LOW32
+    low |= middle << _U64(32)
+    d = high << (_U64(64) - shift)
+    d |= low >> shift
+    low &= (_U64(1) << shift) - _U64(1)  # the dropped bits
+    d += (low + (d & _U64(1))) > (_U64(1) << (shift - _U64(1)))  # half to even
+    return d
+
+
+def _csv_groups(d):
+    """The digit groups of ``d``, one row per cell: d0, d1-d4, d5-d8, d9-d12, d13-d16."""
+    groups = np.empty((len(d), 5), _U64)
+    upper = d // _U64(10**8)
+    lower = d - upper * _U64(10**8)
+    np.floor_divide(upper, _U64(10**8), out=groups[:, 0])
+    upper -= groups[:, 0] * _U64(10**8)
+    np.floor_divide(upper, _U64(10**4), out=groups[:, 1])
+    np.subtract(upper, groups[:, 1] * _U64(10**4), out=groups[:, 2])
+    np.floor_divide(lower, _U64(10**4), out=groups[:, 3])
+    np.subtract(lower, groups[:, 3] * _U64(10**4), out=groups[:, 4])
+    return groups
+
+
+def _csv_block(block, width):
+    """``_csv_template(block, width)``, made by the kernel above where it applies.
+
+    Cells outside the kernel's range are formatted by one '%' call and
+    spliced in.  A block with at least half its cells outside, or not of a
+    real dtype of at most 64 bits (an object block, say), is the template's.
+    Integers are formatted as the doubles they convert to, as '%' does.
+    """
+    rows, cols = block.shape
+    if block.dtype.kind not in "biuf" or block.dtype.itemsize > 8:
+        return _csv_template(block, width)
+    x = np.zeros((rows, width))
+    x[:, :cols] = block
+    x = x.ravel()
+    ax = np.abs(x)
+    cls = np.searchsorted(_CSV_EDGES, ax, "right")
+    spliced = np.flatnonzero(_CSV_OUTSIDE.take(cls))
+    if 2 * len(spliced) >= rows * cols:  # '%' formats most cells anyway; a kernel pass costs more
+        return _csv_template(block, width)
+    ax[spliced] = 1.0  # any in-range value; the text is overwritten
+    groups = _csv_groups(_csv_digits(ax, cls))
+    significant = _CSV_SIGNIFICANT.take((groups.T + _SIGNIFICANT_BASE).view(np.int64)).max(axis=0)
+    groups += _TEXT_BASE
+    text = _CSV_TEXT.take(groups.view(np.int64)).view(np.uint8).reshape(rows, width, _CELL)
+    del groups
+    text[:, :, -1] = ord(",")
+    text[:, -1, -1] = ord("\n")
+    row = _CLASS_ROW.take(cls) + significant + np.signbit(x) * (20 * 18)
+    row[spliced] = _EMPTY_CELL
+    row.reshape(rows, width)[:, cols:] = _EMPTY_CELL
+    keep = _CSV_LAYOUT.take(row, axis=0).view(np.bool_).reshape(rows, width, _CELL)
+    if len(spliced):
+        chars = ("%-24.17g" * len(spliced)) % tuple(x[spliced].tolist())  # none is longer
+        chars = np.frombuffer(chars.encode(), np.uint8).reshape(-1, 24)
+        text.reshape(-1, _CELL)[spliced, :24] = chars
+        keep.reshape(-1, _CELL)[spliced, :24] = chars != ord(" ")
+    return np.compress(keep.ravel(), text.ravel()).tobytes().decode()
 
 
 def _csv_chunks(header, tables):
@@ -376,20 +541,19 @@ def _csv_chunks(header, tables):
     for table in tables:
         table = np.asarray(table)
         rows, cols = table.shape
-        line = ",".join(["%.17g"] * cols + [""] * (len(header) - cols)) + "\n"
+        width = max(cols, len(header))
         step = max(1, CSV_BLOCK_CELLS // max(cols, 1))
         for start in range(0, rows, step):
-            block = table[start:start + step]
-            yield (line * len(block)) % tuple(block.ravel().tolist())
+            yield _csv_block(table[start:start + step], width)
 
 
 def write_csv(path, header, *tables):
     """Atomic CSV write of 2-d numeric tables, in order, below one header; returns the SHA-256.
 
-    Every cell is written with 17 significant digits (a lossless round
-    trip); a table narrower than the header ends its rows in empty cells.
-    Each block of rows up to CSV_BLOCK_CELLS cells is one ``%`` over a
-    repeated ``%.17g`` row template, so a write holds one block at a time.
+    Every cell is written as '%.17g' writes it (17 significant digits, a
+    lossless round trip); a table narrower than the header ends its rows in
+    empty cells.  The text is made a block of rows of up to CSV_BLOCK_CELLS
+    cells at a time by ``_csv_block``, so a write holds one block at a time.
     """
     return atomic_write_text(path, _csv_chunks(header, tables))
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import tracemalloc
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -88,6 +89,11 @@ def per_cell_csv(header, rows):
 
 EDGE_VALUES = [0.0, -0.0, 1e-300, -1e-300, 1e300, 5e-324, 0.1, 1.0 / 3.0, np.pi, -2.0 / 7.0,
                123456789.01234567, 2.0**53, 1e16, 1e-5]
+# each power of ten from 1e-5 to 1e17 between its neighbours, and the doubles
+# about 2**51 and 2**52, where write_csv's exact kernel hands cells to '%'
+EDGE_VALUES += [float(v) for x in range(-5, 18) for p in [float(f"1e{x}")]
+                for v in (np.nextafter(p, 0), p, np.nextafter(p, np.inf))]
+EDGE_VALUES += [2.0**51 - 1, 2.0**51 - 0.5, 2.0**51, 2.0**51 + 1, 2.0**52 - 1, 2.0**52, 2.0**52 + 1]
 
 
 def test_write_csv_matches_per_cell_formatting(tmp_path):
@@ -157,6 +163,49 @@ def test_write_csv_failing_in_a_later_block_leaves_the_old_file(tmp_path):
         write_csv(path, ["a", "b"], table)
     assert path.read_text() == "old\n"
     assert list(tmp_path.glob("*.tmp")) == []
+
+
+@pytest.mark.parametrize("case", ["edges", "bit patterns", "uniform exponents", "ties"])
+def test_write_csv_kernel_matches_per_cell_formatting(tmp_path, case):
+    rng = np.random.default_rng(11)
+    # the kernel's range, 1e-4 <= |x| < 2**51
+    uniform = np.exp2(rng.uniform(np.log2(1e-4), 51, 40000)) * rng.choice([-1.0, 1.0], 40000)
+    if case == "edges":  # some out of range, so spliced in
+        values = np.concatenate([EDGE_VALUES, np.negative(EDGE_VALUES)])
+    elif case == "bit patterns":  # every class of double, spliced into a quarter of the cells
+        values = np.column_stack([rng.integers(0, 2**64, 10000, dtype=np.uint64).view(float),
+                                  uniform[:30000].reshape(-1, 3)])
+    elif case == "uniform exponents":
+        values = uniform
+    else:  # 16-digit n plus quarters: ties at the 17th digit below 2**51; the same digits scaled
+        n = rng.integers(10**15, 10**16, 10000).astype(float)
+        values = np.concatenate([n + 0.5, n + 0.25, n + 0.75, (n + 0.25) / 1e12])
+    table = np.reshape(values, (-1, 4))
+    header = ["a", "b", "c", "d", "e"]
+    path = tmp_path / "t.csv"
+    write_csv(path, header, table, table[:7, :2])
+    expected = per_cell_csv(
+        header, [row + [""] for row in table.tolist()] + [row + [""] * 3 for row in table[:7, :2].tolist()]
+    )
+    assert path.read_bytes() == expected
+
+
+def test_write_csv_formats_integer_tables_as_their_doubles(tmp_path):
+    rng = np.random.default_rng(12)
+    ints = np.concatenate([rng.integers(-(2**63), 2**63 - 1, 3000), rng.integers(-10**6, 10**6, 2997),
+                           [0, 2**53 + 1, 2**63 - 1, -(2**63), 10**16 + 1, -(10**17) - 1]])
+    table = ints.reshape(-1, 3)
+    path = tmp_path / "t.csv"
+    write_csv(path, ["a", "b", "c", "d"], table)
+    assert table.dtype == np.int64
+    assert path.read_bytes() == per_cell_csv(["a", "b", "c", "d"], [row + [""] for row in table.tolist()])
+
+
+def test_csv_edges_are_the_smallest_doubles_at_their_powers_of_ten():
+    edges = qio._CSV_EDGES
+    assert edges[0] == np.nextafter(0.0, 1.0) and edges[-1] == 2.0**51
+    for x, edge in zip(range(-4, 16), edges[1:-1], strict=True):
+        assert Fraction(np.nextafter(edge, 0)) < Fraction(10) ** x <= Fraction(edge)
 
 
 def test_write_json_matches_json_dumps(tmp_path):
